@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, DimensionError, RngState, Tensor
+from .tensor import ContractError, DimensionError, RngState, Tensor, _read_exact
 
 SAMPLE_RATE = 16000
 WIN_SAMPLES = 400      # 25 ms
@@ -169,6 +169,13 @@ _HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WIN_SAMPLES) / WIN_SAMPLES)
 _MEL_FB = mel_filterbank()
 
 
+def num_windows(w: Waveform) -> int:
+    """One-second windows ``log_mel`` makes of ``w``; a partial tail counts as one."""
+    if w.samples.size == 0:
+        raise ContractError("cannot compute a spectrogram of an empty waveform")
+    return max(1, math.ceil(w.samples.size / SAMPLE_RATE))
+
+
 def log_mel(w: Waveform) -> Spectrogram:
     """Log-mel features, one 96x64 window per second of 16 kHz audio.
 
@@ -179,9 +186,7 @@ def log_mel(w: Waveform) -> Spectrogram:
         raise ContractError(
             f"log_mel expects {SAMPLE_RATE} Hz input, got {w.sample_rate_hz} "
             "(resample first)")
-    if w.samples.size == 0:
-        raise ContractError("cannot compute a spectrogram of an empty waveform")
-    n_windows = max(1, math.ceil(w.samples.size / SAMPLE_RATE))
+    n_windows = num_windows(w)
     needed = n_windows * SAMPLE_RATE
     padded = needed > w.samples.size
     samples = w.samples
@@ -266,9 +271,8 @@ def read_lmel(path) -> Spectrogram:
         magic = f.read(4)
         if magic != LMEL_MAGIC:
             raise ContractError(f"{path}: bad magic {magic!r}, expected {LMEL_MAGIC!r}")
-        (t,) = struct.unpack("<I", f.read(4))
-        data = np.frombuffer(f.read(t * FRAMES_PER_WINDOW * N_MELS * 4), dtype="<f4")
-    if data.size != t * FRAMES_PER_WINDOW * N_MELS:
-        raise ContractError(f"{path}: truncated LMEL payload")
+        (t,) = struct.unpack("<I", _read_exact(f, 4, "LMEL window count"))
+        data = np.frombuffer(_read_exact(f, t * FRAMES_PER_WINDOW * N_MELS * 4,
+                                         "LMEL payload"), dtype="<f4")
     return Spectrogram(Tensor(data.astype(np.float64)
                               .reshape(t, FRAMES_PER_WINDOW, N_MELS)))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import ContractError, DimensionError, NumericalError, RngState
+from .tensor import ContractError, DimensionError, NumericalError, RngState, _read_exact
 
 TENSOR_MAGIC = b"TNSR"
 
@@ -37,10 +37,10 @@ def read_tensor_file(path) -> np.ndarray:
     with open(path, "rb") as f:
         if f.read(4) != TENSOR_MAGIC:
             raise ContractError(f"{path}: not a tensor dump")
-        (ndim,) = struct.unpack("<I", f.read(4))
-        shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
+        (ndim,) = struct.unpack("<I", _read_exact(f, 4, "tensor rank"))
+        shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor shape"))
         count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(f.read(8 * count), dtype="<f8")
+        data = np.frombuffer(_read_exact(f, 8 * count, "tensor data"), dtype="<f8")
     return data.reshape(shape).copy()
 
 

@@ -23,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, log_mel, read_wav, resample_to_16k, synth_tone, write_wav
+from .audio import (  # noqa: F401  (log_mel stays reachable as data.log_mel)
+    Waveform, log_mel, num_windows, read_wav, resample_to_16k, synth_tone, write_wav,
+)
 from .pngio import read_png, write_png
 from .tensor import ContractError, RngState, Tensor
 
@@ -173,10 +175,13 @@ def materialize_dataset(spec: DatasetSpec, root) -> list:
 
 
 def load_avsbench_layout(root):
-    """Lazily yield Scenes from the documented directory layout."""
+    """Lazily yield Scenes from the documented directory layout.
+
+    A root that is not a directory raises LoadError on the first ``next``.
+    """
     root = Path(root)
     if not root.is_dir():
-        return
+        raise LoadError(f"{root}: data root is not a directory")
     for clip_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         vid = clip_dir.name
         frame_files = sorted((clip_dir / "frames").glob("*.png"))
@@ -201,9 +206,9 @@ def load_avsbench_layout(root):
         masks = np.stack(mask_arrays)[:, None]
 
         wave = resample_to_16k(read_wav(wav_path))
-        spec = log_mel(wave)
-        if spec.num_windows != len(frame_files):
-            raise LoadError(f"{vid}: {spec.num_windows} audio windows for "
+        windows = num_windows(wave)
+        if windows != len(frame_files):
+            raise LoadError(f"{vid}: {windows} audio windows for "
                             f"{len(frame_files)} frames")
         yield Scene(frames=Tensor(frames), waveform=wave, masks=Tensor(masks),
                     meta={"video_id": vid})

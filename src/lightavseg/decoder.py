@@ -24,8 +24,8 @@ from .encoder import EncoderOutput
 from .layers import Linear1x1
 from .tensor import (
     FLOPS, ContractError, RngState, Tensor, add, bilinear_upsample,
-    broadcast_add, concat_channels, elementwise_mul, global_max_pool,
-    hsigmoid, relu, section,
+    broadcast_add, concat_channels, global_max_pool, hsigmoid, mul, relu,
+    section,
 )
 
 
@@ -55,7 +55,7 @@ def audio_state_update(a_prev_dec: AudioState, a_enc: AudioState, v_enc: Tensor,
         pooled = global_max_pool(v_enc)
     with FLOPS.scope("fusion.state"):
         gate = hsigmoid(p.gate_map(pooled))
-        return AudioState(elementwise_mul(fused, gate), stage=a_enc.stage)
+        return AudioState(mul(fused, gate), stage=a_enc.stage)
 
 
 def visual_inject(v_enc: Tensor, a_hat: AudioState, p: DecoderStageParams) -> Tensor:

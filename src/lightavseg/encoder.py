@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .backbones import AudioState, FeaturePyramid, VisualBackbone, project_audio_to_stage
 from .layers import Linear1x1
 from .tensor import (
-    FLOPS, ContractError, RngState, Tensor, broadcast_add, elementwise_mul,
-    global_max_pool, hsigmoid, section,
+    FLOPS, ContractError, RngState, Tensor, broadcast_add, global_max_pool,
+    hsigmoid, mul, section,
 )
 
 
@@ -50,7 +50,7 @@ def har_step(a_prev: AudioState, v: Tensor, p: EncoderStageParams) -> AudioState
         pooled = global_max_pool(v)
     with FLOPS.scope("fusion.state"):
         gate = hsigmoid(p.gate_map(pooled))
-        refined = elementwise_mul(p.audio_map(a_prev.value), gate)
+        refined = mul(p.audio_map(a_prev.value), gate)
     return AudioState(refined, stage=a_prev.stage)
 
 

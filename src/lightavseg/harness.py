@@ -29,7 +29,7 @@ from .data import DatasetSpec, generate_dataset
 from .losses import alignment_maps, foreground_mask, fscore, miou, total_loss
 from .model import ModelConfig, SegModel
 from .tensor import (
-    ContractError, RngState, Tensor, _sigmoid_data, backward, no_grad,
+    ContractError, RngState, Tensor, _read_exact, _sigmoid_data, backward, no_grad,
 )
 
 CKPT_MAGIC = b"AVSC"
@@ -232,14 +232,18 @@ def _write_entry(f, name: str, arr: np.ndarray):
     f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _unpack(f, fmt: str, what: str):
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
+
+
 def _read_entry(f):
-    (nlen,) = struct.unpack("<I", f.read(4))
-    name = f.read(nlen).decode("utf-8")
-    (ndim,) = struct.unpack("<I", f.read(4))
-    shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
+    (nlen,) = _unpack(f, "<I", "entry name length")
+    name = _read_exact(f, nlen, "entry name").decode("utf-8")
+    (ndim,) = _unpack(f, "<I", f"rank of {name!r}")
+    shape = _unpack(f, f"<{ndim}I", f"shape of {name!r}")
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape).copy()
-    return name, data
+    data = np.frombuffer(_read_exact(f, 8 * count, f"data of {name!r}"), dtype="<f8")
+    return name, data.reshape(shape).copy()
 
 
 def save_checkpoint(path, cfg: TrainConfig, params: dict, state: AdamWState,
@@ -266,16 +270,12 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise ContractError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = _unpack(f, "<I", "version")
         if version != CKPT_VERSION:
             raise ContractError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", f.read(4))
-        config = json.loads(f.read(cfg_len).decode("utf-8"))
-        (step,) = struct.unpack("<Q", f.read(8))
-        (adam_t,) = struct.unpack("<Q", f.read(8))
-        (seed,) = struct.unpack("<q", f.read(8))
-        (counter,) = struct.unpack("<Q", f.read(8))
-        (n_entries,) = struct.unpack("<I", f.read(4))
+        (cfg_len,) = _unpack(f, "<I", "config length")
+        config = json.loads(_read_exact(f, cfg_len, "config").decode("utf-8"))
+        step, adam_t, seed, counter, n_entries = _unpack(f, "<QQqQI", "header")
         params, adam_m, adam_v = {}, {}, {}
         for _ in range(n_entries):
             name, arr = _read_entry(f)
@@ -391,6 +391,8 @@ def train(cfg: TrainConfig, scenes: list | None = None,
 def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
              threshold: float = 0.5) -> dict:
     """Mean IoU / F-score over scenes; per-scene table included."""
+    if not scenes:
+        raise ContractError("evaluation set is empty")
     per_scene = []
     for scene in scenes:
         mel = log_mel(scene.waveform).windows
@@ -405,8 +407,8 @@ def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
             "fscore": fscore(pred, gt),
         })
     return {
-        "miou": float(np.mean([r["miou"] for r in per_scene])) if per_scene else 0.0,
-        "fscore": float(np.mean([r["fscore"] for r in per_scene])) if per_scene else 0.0,
+        "miou": float(np.mean([r["miou"] for r in per_scene])),
+        "fscore": float(np.mean([r["fscore"] for r in per_scene])),
         "per_scene": per_scene,
         "mute_audio": mute_audio,
     }

@@ -16,6 +16,7 @@ Counts accumulate into every named scope currently open via ``FLOPS.scope``.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from contextlib import contextmanager
@@ -38,6 +39,15 @@ class ContractError(TensorError):
 
 class NumericalError(TensorError):
     """A NaN or Inf appeared in an operation result."""
+
+
+def _read_exact(f, n: int, what: str) -> bytes:
+    """Read exactly ``n`` bytes of a binary file; a short read is a ContractError."""
+    data = f.read(n)
+    if len(data) != n:
+        name = getattr(f, "name", "input")
+        raise ContractError(f"{name}: truncated {what} (wanted {n} bytes, got {len(data)})")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +218,10 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  _parents=(), _backward=None):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if any(e <= 0 for e in arr.shape):
+        arr = np.ascontiguousarray(data, dtype=np.float64)
+        if 0 in arr.shape:
             raise DimensionError(f"tensor extents must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericalError(f"non-finite values in result of op '{op}'")
         self.data = arr
         self.grad = None
@@ -308,8 +318,9 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)  # own copy: g may be a view
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -411,14 +422,6 @@ def mul(a, b) -> Tensor:
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _result(out, "mul", (a, b), bw)
-
-
-def elementwise_mul(a, b) -> Tensor:
-    """Hadamard product; shapes must match exactly (no broadcasting)."""
-    a, b = _coerce(a), _coerce(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"elementwise_mul shapes differ: {a.shape} vs {b.shape}")
-    return mul(a, b)
 
 
 def div(a, b) -> Tensor:
@@ -650,16 +653,48 @@ def pointwise_linear(x, weight, bias) -> Tensor:
             f"pointwise_linear bias {bias.shape} does not match weight {weight.shape}")
     B, C, H, W = x.shape
     Co = weight.shape[0]
-    out = np.einsum("oc,bchw->bohw", weight.data, x.data, optimize=True)
-    out += bias.data[None, :, None, None]
+    xf = x.data.reshape(B, C, H * W)
+    out = weight.data @ xf
+    out += bias.data[:, None]
     FLOPS.add(madds=B * Co * C * H * W, elems=B * Co * H * W)
 
     def bw(g):
-        _accum(x, np.einsum("oc,bohw->bchw", weight.data, g, optimize=True))
-        _accum(weight, np.einsum("bohw,bchw->oc", g, x.data, optimize=True))
-        _accum(bias, g.sum(axis=(0, 2, 3)))
+        gf = g.reshape(B, Co, H * W)
+        if x.requires_grad:
+            _accum(x, (weight.data.T @ gf).reshape(B, C, H, W))
+        if weight.requires_grad:
+            # channel-major (C, B*H*W) views turn the batch sum into one GEMM
+            _accum(weight, _channel_major(gf) @ _channel_major(xf).T)
+        _accum(bias, gf.sum(axis=(0, 2)))
 
-    return _result(out, "pointwise_linear", (x, weight, bias), bw)
+    return _result(out.reshape(B, Co, H, W), "pointwise_linear", (x, weight, bias), bw)
+
+
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    """(B, C, ...) -> (C, B*...): the batch folded into the column axis."""
+    return a.reshape(a.shape[0], a.shape[1], -1).transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _im2col(x: np.ndarray, K: int, stride: int, padding: int,
+            Ho: int, Wo: int) -> np.ndarray:
+    """(C*K*K, B*Ho*Wo) patch matrix of ``x`` zero-padded by ``padding``.
+
+    Row (c, ki, kj) holds input channel c at kernel tap (ki, kj) for every
+    output position, batch-major, so a convolution is one GEMM against the
+    (C_out, C*K*K) weight matrix.
+    """
+    B, C, H, W = x.shape
+    if padding:
+        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding:padding + H, padding:padding + W] = x
+    else:
+        xp = x
+    cols = np.empty((C, K, K, B, Ho, Wo))
+    for ki in range(K):
+        for kj in range(K):
+            cols[:, ki, kj] = xp[:, :, ki:ki + stride * Ho:stride,
+                                 kj:kj + stride * Wo:stride].transpose(1, 0, 2, 3)
+    return cols.reshape(C * K * K, B * Ho * Wo)
 
 
 def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
@@ -673,33 +708,34 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
         raise DimensionError(f"conv2d weight {weight.shape} does not match input {x.shape}")
     if bias.shape != (Co,):
         raise DimensionError(f"conv2d bias {bias.shape} does not match weight {weight.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    Hp, Wp = xp.shape[2], xp.shape[3]
+    Hp, Wp = H + 2 * padding, W + 2 * padding
     Ho = (Hp - K) // stride + 1
     Wo = (Wp - K) // stride + 1
     if Ho < 1 or Wo < 1:
         raise DimensionError(f"conv2d output empty for input {x.shape}, kernel {K}, stride {stride}")
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (K, K), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (B,C,Ho,Wo,K,K)
-    out = np.einsum("bchwkl,ockl->bohw", windows, weight.data, optimize=True)
-    out += bias.data[None, :, None, None]
+    wm = weight.data.reshape(Co, C * K * K)
+    out = wm @ _im2col(x.data, K, stride, padding, Ho, Wo)   # (Co, B*Ho*Wo)
+    out += bias.data[:, None]
     FLOPS.add(madds=B * Co * C * K * K * Ho * Wo, elems=B * Co * Ho * Wo)
 
     def bw(g):
-        _accum(weight, np.einsum("bohw,bchwkl->ockl", g, windows, optimize=True))
-        _accum(bias, g.sum(axis=(0, 2, 3)))
+        gm = _channel_major(g)                                # (Co, B*Ho*Wo)
+        if weight.requires_grad:
+            # rebuilt, not kept from forward: no patch matrix outlives its op's forward
+            cols = _im2col(x.data, K, stride, padding, Ho, Wo)
+            _accum(weight, (gm @ cols.T).reshape(weight.data.shape))
+        _accum(bias, gm.sum(axis=1))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gcols = (wm.T @ gm).reshape(C, K, K, B, Ho, Wo)
+            gxp = np.zeros((C, B, Hp, Wp))
             for ki in range(K):
                 for kj in range(K):
-                    patch = np.einsum("bohw,oc->bchw", g, weight.data[:, :, ki, kj],
-                                      optimize=True)
                     gxp[:, :, ki:ki + stride * Ho:stride,
-                        kj:kj + stride * Wo:stride] += patch
-            if padding:
-                gxp = gxp[:, :, padding:-padding, padding:-padding]
-            _accum(x, gxp)
+                        kj:kj + stride * Wo:stride] += gcols[:, ki, kj]
+            _accum(x, gxp[:, :, padding:padding + H, padding:padding + W]
+                   .transpose(1, 0, 2, 3))
 
+    out = out.reshape(Co, B, Ho, Wo).transpose(1, 0, 2, 3)
     return _result(out, "conv2d", (x, weight, bias), bw)
 
 
@@ -772,8 +808,12 @@ def l2_normalize(x, axis: int, eps: float = 1e-6) -> Tensor:
     return div(x, add(norm, eps))
 
 
+@functools.lru_cache(maxsize=64)
 def _interp_matrix(dst: int, src: int) -> np.ndarray:
-    """Row-stochastic bilinear weight matrix, half-pixel-center convention."""
+    """Row-stochastic bilinear weight matrix, half-pixel-center convention.
+
+    Cached by (dst, src) and read-only, since every caller shares one copy.
+    """
     m = np.zeros((dst, src))
     pos = (np.arange(dst) + 0.5) * (src / dst) - 0.5
     pos = np.clip(pos, 0.0, src - 1.0)
@@ -782,6 +822,7 @@ def _interp_matrix(dst: int, src: int) -> np.ndarray:
     frac = pos - lo
     m[np.arange(dst), lo] += 1.0 - frac
     m[np.arange(dst), hi] += frac
+    m.flags.writeable = False
     return m
 
 
@@ -798,13 +839,11 @@ def bilinear_upsample(x, H: int, W: int) -> Tensor:
             f"bilinear_upsample target {H}x{W} smaller than source {h}x{w}")
     my = _interp_matrix(H, h)
     mx = _interp_matrix(W, w)
-    out = np.einsum("Hh,bchw->bcHw", my, x.data, optimize=True)
-    out = np.einsum("Ww,bcHw->bcHW", mx, out, optimize=True)
+    out = (my @ x.data) @ mx.T
     FLOPS.add(elems=4 * B * C * H * W)
 
     def bw(g):
-        gy = np.einsum("Ww,bcHW->bcHw", mx, g, optimize=True)
-        _accum(x, np.einsum("Hh,bcHw->bchw", my, gy, optimize=True))
+        _accum(x, my.T @ (g @ mx))
 
     return _result(out, "bilinear_upsample", (x,), bw)
 

@@ -105,6 +105,16 @@ class TestLogMel:
         assert spec.num_windows == 2
         assert spec.padded
 
+    @pytest.mark.parametrize("n", [1, SAMPLE_RATE - 1, SAMPLE_RATE, SAMPLE_RATE + 1,
+                                   3 * SAMPLE_RATE])
+    def test_num_windows_matches_log_mel(self, n):
+        w = Waveform(np.zeros(n), SAMPLE_RATE)
+        assert audio.num_windows(w) == log_mel(w).num_windows
+
+    def test_num_windows_rejects_empty_waveform(self):
+        with pytest.raises(ContractError):
+            audio.num_windows(Waveform(np.zeros(0), SAMPLE_RATE))
+
     def test_tone_argmax_matches_center_oracle(self):
         tone = synth_tone(1000.0, 1.0, 0.5)
         spec = log_mel(tone)
@@ -197,3 +207,14 @@ class TestIO:
         p.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ContractError):
             read_lmel(p)
+
+    def test_lmel_truncated_at_many_offsets(self, tmp_path):
+        p = tmp_path / "x.lmel"
+        write_lmel(p, log_mel(synth_tone(900.0, 1.0, 0.5)))
+        full = p.read_bytes()
+        cut = tmp_path / "cut.lmel"
+        # every header byte, then a stride through the payload
+        for n in [*range(64), *range(64, len(full), 61), len(full) - 1]:
+            cut.write_bytes(full[:n])
+            with pytest.raises(ContractError):
+                read_lmel(cut)

@@ -3,9 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 
 from lightavseg.cli import main, read_tensor_file, write_tensor_file
-from lightavseg.tensor import RngState
+from lightavseg.tensor import ContractError, RngState
 
 
 def toy_train_args(out, extra=()):
@@ -57,6 +58,25 @@ class TestEvalCli:
     def test_eval_missing_checkpoint_fails_cleanly(self, tmp_path, capsys):
         assert main(["eval", "--ckpt", str(tmp_path / "nope.bin")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_eval_missing_or_empty_data_root_fails_cleanly(self, tmp_path, capsys):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        ckpt = tmp_path / "run" / "ckpt_final.bin"
+        (tmp_path / "empty").mkdir()
+        for root in (tmp_path / "nonexistent", tmp_path / "empty"):
+            capsys.readouterr()
+            assert main(["eval", "--ckpt", str(ckpt), "--data", str(root)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_eval_truncated_checkpoint_fails_cleanly(self, tmp_path, capsys):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        full = (tmp_path / "run" / "ckpt_final.bin").read_bytes()
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(full[:-13])
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(cut)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_eval_dump_alignment_writes_per_scene_maps(self, tmp_path):
         assert main(toy_train_args(tmp_path / "run")) == 0
@@ -130,3 +150,12 @@ class TestOtherCommands:
         p = tmp_path / "t.tnsr"
         write_tensor_file(p, arr)
         np.testing.assert_array_equal(read_tensor_file(p), arr)
+
+    def test_tensor_file_truncated_at_every_offset(self, tmp_path):
+        p = tmp_path / "t.tnsr"
+        write_tensor_file(p, RngState(2).uniform((2, 3), -1, 1))
+        full = p.read_bytes()
+        for n in range(len(full)):
+            p.write_bytes(full[:n])
+            with pytest.raises(ContractError):
+                read_tensor_file(p)

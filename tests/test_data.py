@@ -123,8 +123,10 @@ class TestLayout:
             np.testing.assert_array_equal(scene.frames.data, quantized)
             np.testing.assert_array_equal(scene.masks.data, orig.masks.data)
 
-    def test_empty_root_yields_nothing(self, tmp_path):
-        assert list(load_avsbench_layout(tmp_path / "missing")) == []
+    def test_missing_root_raises_empty_root_yields_nothing(self, tmp_path):
+        with pytest.raises(LoadError) as e:
+            list(load_avsbench_layout(tmp_path / "missing"))
+        assert "missing" in str(e.value)
         (tmp_path / "empty").mkdir()
         assert list(load_avsbench_layout(tmp_path / "empty")) == []
 

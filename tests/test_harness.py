@@ -130,6 +130,22 @@ class TestCheckpoint:
         for name, arr in ckpt.params.items():
             np.testing.assert_array_equal(arr, fresh.params[name].data)
 
+    def test_truncated_checkpoint_raises_contract_error(self, tmp_path):
+        cfg = toy_config()
+        model = SegModel(cfg.model_config(), RngState(0))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, cfg, model.params, AdamWState(), RngState(0), 0)
+        full = path.read_bytes()
+        header = 12 + len(json.dumps(dataclasses.asdict(cfg), sort_keys=True)) + 36
+        # every byte of the header and the first entry, then a stride through the rest
+        offsets = sorted({*range(header + 64), *range(header, len(full), 97),
+                          len(full) - 13, len(full) - 1})
+        cut = tmp_path / "cut.bin"
+        for n in offsets:
+            cut.write_bytes(full[:n])
+            with pytest.raises(ContractError):
+                load_checkpoint(cut)
+
     def test_mismatched_config_rejected(self, tmp_path):
         cfg = toy_config()
         result = train(cfg)
@@ -206,6 +222,11 @@ class TestEvaluate:
         empty = np.zeros_like(gt)
         assert miou(empty, gt) == 0.0
         assert fscore(empty, gt) == 0.0
+
+    def test_empty_scene_list_rejected(self):
+        model = SegModel(toy_config().model_config(), RngState(0))
+        with pytest.raises(ContractError):
+            evaluate(model, [])
 
     def test_mute_audio_flag_zeroes_state(self):
         cfg = toy_config()

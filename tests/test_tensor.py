@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from lightavseg import tensor as T
+from lightavseg import gradsuite, tensor as T
+from lightavseg.losses import total_loss
 from lightavseg.tensor import (
     FLOPS, ContractError, DimensionError, NumericalError, RngState, Tensor,
     backward, grad_check, no_grad, parameter, topo_order,
@@ -300,6 +301,139 @@ class TestGradCheckSuite:
         a = Tensor(rng.uniform((2, 3, 4)))
         r = grad_check(lambda t: _scalarize(T.matmul(t, T.transpose(t, (0, 2, 1)))), a)
         assert r.passed
+
+
+# ---------------------------------------------------------------------------
+# kernels against einsum references
+# ---------------------------------------------------------------------------
+
+def _ref_pointwise_linear(x, w, b, g):
+    """Forward and (dx, dw, db) of a 1x1 conv written as plain einsums."""
+    out = np.einsum("oc,bchw->bohw", w, x) + b[None, :, None, None]
+    return out, (np.einsum("oc,bohw->bchw", w, g), np.einsum("bohw,bchw->oc", g, x),
+                 g.sum(axis=(0, 2, 3)))
+
+
+def _ref_conv2d(x, w, b, g, stride, padding):
+    """Forward and (dx, dw, db) over explicit sliding windows."""
+    K = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (K, K), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    Ho, Wo = win.shape[2], win.shape[3]
+    out = np.einsum("bchwkl,ockl->bohw", win, w) + b[None, :, None, None]
+    gxp = np.zeros_like(xp)
+    for ki in range(K):
+        for kj in range(K):
+            gxp[:, :, ki:ki + stride * Ho:stride, kj:kj + stride * Wo:stride] += \
+                np.einsum("bohw,oc->bchw", g, w[:, :, ki, kj])
+    gx = gxp[:, :, padding:padding + x.shape[2], padding:padding + x.shape[3]]
+    return out, (gx, np.einsum("bohw,bchwkl->ockl", g, win), g.sum(axis=(0, 2, 3)))
+
+
+def _ref_bilinear(x, H, W, g):
+    my, mx = T._interp_matrix(H, x.shape[2]), T._interp_matrix(W, x.shape[3])
+    out = np.einsum("Ww,bcHw->bcHW", mx, np.einsum("Hh,bchw->bcHw", my, x))
+    return out, (np.einsum("Hh,bcHw->bchw", my, np.einsum("Ww,bcHW->bcHw", mx, g)),)
+
+
+def _run_kernel(op, arrays):
+    """Forward of ``op`` on parameter leaves, then backward of sum(out * g)."""
+    leaves = [parameter(a) for a in arrays]
+    out = op(*leaves)
+    g = RngState(99).uniform(out.shape, -1, 1)
+    backward(T.tsum(T.mul(out, Tensor(g))))
+    return out.data, g, [t.grad for t in leaves]
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestKernelsMatchEinsumReference:
+    @pytest.mark.parametrize("shape", [(3, 5, 7, 4), (2, 4, 1, 1), (1, 3, 5, 5)])
+    def test_pointwise_linear(self, shape):
+        rng = RngState(50)
+        x = rng.uniform(shape, -1, 1)
+        w, b = rng.uniform((6, shape[1]), -1, 1), rng.uniform((6,), -1, 1)
+        out, g, grads = _run_kernel(T.pointwise_linear, (x, w, b))
+        ref_out, ref_grads = _ref_pointwise_linear(x, w, b, g)
+        _assert_close(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            _assert_close(got, want)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("shape,K", [((3, 2, 7, 5), 3), ((1, 3, 6, 6), 3),
+                                         ((2, 3, 5, 8), 2)])
+    def test_conv2d(self, stride, padding, shape, K):
+        rng = RngState(51)
+        x = rng.uniform(shape, -1, 1)
+        w, b = rng.uniform((4, shape[1], K, K), -1, 1), rng.uniform((4,), -1, 1)
+        out, g, grads = _run_kernel(
+            lambda *t: T.conv2d(*t, stride=stride, padding=padding), (x, w, b))
+        ref_out, ref_grads = _ref_conv2d(x, w, b, g, stride, padding)
+        _assert_close(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            _assert_close(got, want)
+
+    @pytest.mark.parametrize("shape,H,W", [((3, 2, 3, 5), 7, 11), ((1, 1, 1, 1), 4, 3),
+                                           ((2, 3, 4, 4), 4, 9)])
+    def test_bilinear_upsample(self, shape, H, W):
+        x = RngState(52).uniform(shape, -1, 1)
+        out, g, grads = _run_kernel(lambda t: T.bilinear_upsample(t, H, W), (x,))
+        ref_out, ref_grads = _ref_bilinear(x, H, W, g)
+        _assert_close(out, ref_out)
+        _assert_close(grads[0], ref_grads[0])
+
+    def test_interp_matrices_are_cached_read_only(self):
+        m = T._interp_matrix(9, 4)
+        assert m is T._interp_matrix(9, 4)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
+# FLOPS.report() of one tiny-model forward, recorded from the einsum kernels:
+# counts are written explicitly by each op, so they must not follow the kernel
+TINY_FORWARD_FLOPS = {
+    "audio_embed": {"elems": 6232, "madds": 576},
+    "decoder_fusion": {"elems": 366, "madds": 671},
+    "encoder_fusion": {"elems": 844, "madds": 376},
+    "fusion.interaction": {"elems": 956, "madds": 0},
+    "fusion.state": {"elems": 232, "madds": 923},
+    "seg_head": {"elems": 6656, "madds": 2184},
+    "total": {"elems": 17102, "madds": 37410},
+    "visual_backbone": {"elems": 3004, "madds": 33603},
+}
+
+
+class TestTinyModelReplay:
+    def test_flops_unchanged_and_seeded_steps_bit_identical(self):
+        runs = []
+        for _ in range(2):
+            model = gradsuite.tiny_model(0)
+            rng = RngState(100)
+            frames = Tensor(rng.uniform((2, 3, 32, 32), 0.05, 0.95))
+            mel = Tensor(rng.uniform((2, 96, 64), -20.0, 0.0))
+            y = Tensor((rng.uniform((2, 1, 32, 32), 0, 1) > 0.7).astype(np.float64))
+            FLOPS.reset()
+            seg, _ = model.forward(Tensor(frames.data[:1]), Tensor(mel.data[:1]))
+            flops = FLOPS.report()
+            step_losses = []
+            for _step in range(2):
+                seg, _ = model.forward(frames, mel)
+                rep = total_loss(seg.logits, seg.per_stage_features, seg.audio_states,
+                                 y, lam=0.5, tau=0.1)
+                backward(rep.loss)
+                step_losses.append(rep.total)
+                for p in model.params.values():
+                    p.data -= 0.01 * p.grad
+                    p.zero_grad()
+            runs.append((flops, step_losses))
+        assert runs[0][0] == TINY_FORWARD_FLOPS
+        assert runs[0][1] == runs[1][1]
+        assert runs[0][1][0] != runs[0][1][1]
 
 
 # ---------------------------------------------------------------------------
