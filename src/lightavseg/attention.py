@@ -13,7 +13,6 @@ for a chosen module and fits the log-log slope against N = H*W.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -136,18 +135,22 @@ def _median_wall_ms(fn, reps: int = 5) -> float:
     return float(np.median(times))
 
 
+def fusion_stage_params(c: int, rng: RngState):
+    """Unregistered channel maps of one encoder stage and one decoder stage."""
+    enc_p = EncoderStageParams(audio_map=Linear1x1("enc.audio", c, c, rng, {}),
+                               gate_map=Linear1x1("enc.gate", c, c, rng, {}))
+    dec_p = DecoderStageParams(
+        proj_prev=Linear1x1("dec.proj_prev", c, c, rng, {}),
+        proj_enc=Linear1x1("dec.proj_enc", c, c, rng, {}),
+        fuse_map=Linear1x1("dec.fuse", 2 * c, c, rng, {}),
+        gate_map=Linear1x1("dec.gate", c, c, rng, {}),
+        inject_map=Linear1x1("dec.inject", c, c, rng, {}))
+    return enc_p, dec_p
+
+
 def _fusion_step_fixture(channels: int, seed: int = 0):
     """One encoder refinement plus one decoder update at a fixed width."""
-    rng = RngState(seed)
-    enc_p = EncoderStageParams(
-        audio_map=Linear1x1("sweep.enc.audio", channels, channels, rng, {}),
-        gate_map=Linear1x1("sweep.enc.gate", channels, channels, rng, {}))
-    dec_p = DecoderStageParams(
-        proj_prev=Linear1x1("sweep.dec.pp", channels, channels, rng, {}),
-        proj_enc=Linear1x1("sweep.dec.pe", channels, channels, rng, {}),
-        fuse_map=Linear1x1("sweep.dec.fuse", 2 * channels, channels, rng, {}),
-        gate_map=Linear1x1("sweep.dec.gate", channels, channels, rng, {}),
-        inject_map=Linear1x1("sweep.dec.inj", channels, channels, rng, {}))
+    enc_p, dec_p = fusion_stage_params(channels, RngState(seed))
 
     def run(grid: int, data_rng: RngState):
         v = Tensor(data_rng.uniform((1, channels, grid, grid), -1, 1))

@@ -11,11 +11,9 @@ pretrained weights are involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .audio import FRAMES_PER_WINDOW, N_MELS, Spectrogram
+from .audio import FRAMES_PER_WINDOW, N_MELS
 from .layers import Conv3x3, Linear1x1
 from .tensor import (
     DimensionError, RngState, Tensor, relu, reshape, section, tmean,
@@ -44,11 +42,6 @@ class FeaturePyramid:
     """Per-stage visual features; stage i sits at stride 2^(i+1)."""
 
     stages: list            # Tensor[B, C_i, H_i, W_i], shallow to deep
-    strides: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.strides:
-            self.strides = [2 ** (i + 2) for i in range(len(self.stages))]
 
     def validate(self, input_h: int, input_w: int):
         prev_c = 0
@@ -147,10 +140,6 @@ class AudioEmbed:
             pooled = tmean(windows, axis=1)                # (T, 64)
             x = reshape(pooled, (t, N_MELS, 1, 1))
             return AudioState(self.fc2(relu(self.fc1(x))), stage=0)
-
-
-def audio_embed(spec: Spectrogram, embedder: AudioEmbed) -> AudioState:
-    return embedder(spec.windows)
 
 
 def project_audio_to_stage(a: AudioState, proj: Linear1x1, stage: int) -> AudioState:

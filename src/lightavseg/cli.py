@@ -13,6 +13,7 @@ import json
 import os
 import struct
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -118,30 +119,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_overrides(args) -> dict:
-    keys = ["steps", "lr", "batch_size", "seed", "lam", "tau", "weight_decay",
-            "loss_variant", "n_scenes", "hw", "snr_db", "ckpt_every", "log_every",
-            "freeze_audio_backbone", "enable_har", "enable_agve", "enable_cmfd"]
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k] = v
-    return out
-
-
 def _load_config(args):
-    from .harness import config_from_file, config_from_mapping
-    overrides = _collect_overrides(args)
-    if getattr(args, "config", None):
-        cfg = config_from_file(args.config, {})
-        cfg = config_from_mapping(overrides, base=cfg)
-    else:
-        cfg = config_from_mapping(overrides)
+    """File values, then flags, then LIGHTAVSEG_SEED, parsed as one mapping."""
+    from .harness import TrainConfig, config_from_file, config_from_mapping
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                 if getattr(args, f.name, None) is not None}
     env_seed = os.environ.get("LIGHTAVSEG_SEED")
     if env_seed is not None:
-        cfg = config_from_mapping({"seed": int(env_seed)}, base=cfg)
-    return cfg
+        overrides["seed"] = env_seed
+    if args.config:
+        return config_from_file(args.config, overrides)
+    return config_from_mapping(overrides)
 
 
 def _load_scenes(cfg, data_root):
@@ -263,6 +251,8 @@ def _cmd_inspect(args) -> int:
     model, cfg = model_from_checkpoint(ckpt)
     if args.data:
         scenes = list(load_avsbench_layout(args.data))
+        if not 0 <= args.index < len(scenes):
+            raise ContractError(f"--index {args.index} is outside the {len(scenes)} clips")
         scene = scenes[args.index]
     else:
         scene = generate_scene(cfg.dataset_spec(), args.index)

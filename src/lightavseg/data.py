@@ -83,8 +83,8 @@ def _shape_footprint(kind: int, cy: int, cx: int, half: int, hw: int) -> np.ndar
 
 def generate_scene(spec: DatasetSpec, index: int) -> Scene:
     """Deterministic scene for (spec.seed, index); pairs share frames."""
-    if index >= spec.n_scenes:
-        raise ContractError(f"scene index {index} >= n_scenes {spec.n_scenes}")
+    if not 0 <= index < spec.n_scenes:
+        raise ContractError(f"scene index {index} is outside [0, {spec.n_scenes})")
     pair, sounding = divmod(index, 2)
     if spec.shapes_per_scene == 1:
         pair, sounding = index, 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backbones import AudioState, FeaturePyramid, VisualBackbone, project_audio_to_stage
+from .backbones import AudioState, VisualBackbone, project_audio_to_stage
 from .layers import Linear1x1
 from .tensor import (
     FLOPS, ContractError, RngState, Tensor, broadcast_add, global_max_pool,
@@ -97,6 +97,3 @@ class ReciprocalEncoder:
             states.append(audio)
             x = enhanced_v
         return EncoderOutput(enhanced=enhanced, audio_states=states)
-
-    def pyramid(self, out: EncoderOutput) -> FeaturePyramid:
-        return FeaturePyramid(out.enhanced)

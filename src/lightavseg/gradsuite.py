@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .attention import dense_attention, fusion_stage_params, make_attention_params
 from .backbones import AudioState, BackboneConfig
 from .decoder import audio_state_update, visual_inject
 from .encoder import agve_step, har_step
@@ -87,24 +88,10 @@ def op_checks(tol: float = 1e-4) -> list[CheckResult]:
 
 
 def module_checks(tol: float = 1e-4) -> list[CheckResult]:
-    from .attention import dense_attention, make_attention_params
-    from .decoder import DecoderStageParams
-    from .encoder import EncoderStageParams
-    from .layers import Linear1x1
-
     rng = RngState(7)
     results = []
     c = 4
-    enc_p = EncoderStageParams(
-        audio_map=Linear1x1("g.e.a", c, c, rng, {}),
-        gate_map=Linear1x1("g.e.g", c, c, rng, {}))
-    dec_p = DecoderStageParams(
-        proj_prev=Linear1x1("g.d.pp", c, c, rng, {}),
-        proj_enc=Linear1x1("g.d.pe", c, c, rng, {}),
-        fuse_map=Linear1x1("g.d.f", 2 * c, c, rng, {}),
-        gate_map=Linear1x1("g.d.g", c, c, rng, {}),
-        inject_map=Linear1x1("g.d.i", c, c, rng, {}))
-
+    enc_p, dec_p = fusion_stage_params(c, rng)
     v = Tensor(rng.uniform((1, c, 3, 3), -1, 1))
     a = Tensor(rng.uniform((1, c, 1, 1), -1, 1))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -95,49 +96,44 @@ class TrainConfig:
                            snr_db=self.snr_db, seed=self.seed)
 
 
-# Config file surface: flat key=value lines, one per TrainConfig field.
+# Config file surface: flat key=value lines, one per TrainConfig field, each
+# parsed by the field's declared type.
 _KEY_ALIASES = {"lambda": "lam"}
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-def _parse_value(name: str, raw: str, pytype):
+def _parse_value(name: str, raw, ftype):
+    """One config value: a literal is parsed by ``ftype``, a typed value kept."""
+    args = typing.get_args(ftype)                 # (X, NoneType) for X | None
+    ftype = args[0] if args else ftype
+    if isinstance(raw, str) and raw.strip().lower() in ("none", "null"):
+        raw = None
+    if raw is None and type(None) not in args:
+        raise ContractError(f"config key {name}: none is not a valid {ftype.__name__}")
+    if not isinstance(raw, str):
+        return raw
     raw = raw.strip()
-    if raw.lower() in ("none", "null"):
-        return None
-    if pytype is bool or isinstance(pytype, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ContractError(f"config key {name}: bad boolean {raw!r}")
-    if pytype is tuple:
-        return tuple(int(v) for v in raw.split(","))
-    if pytype is int:
-        return int(raw)
-    if pytype is float:
-        return float(raw)
-    return raw
+    try:
+        if ftype is bool:
+            return _BOOLS[raw.lower()]
+        if ftype is tuple:
+            return tuple(int(v) for v in raw.split(","))
+        return ftype(raw)
+    except (KeyError, ValueError):
+        raise ContractError(f"config key {name}: bad {ftype.__name__} {raw!r}") from None
 
 
 def config_from_mapping(mapping: dict, base: TrainConfig | None = None) -> TrainConfig:
     """Build a TrainConfig from string or typed values, validating keys."""
-    values = dataclasses.asdict(base) if base is not None else {}
-    ftypes = {f.name: f.type for f in fields(TrainConfig)}
-    defaults = TrainConfig()
+    parsed = {}
     for key, raw in mapping.items():
         name = _KEY_ALIASES.get(key, key)
-        if name not in ftypes:
+        if name not in _FIELD_TYPES:
             raise ContractError(f"unknown config key {key!r}")
-        if isinstance(raw, str):
-            current = getattr(defaults, name)
-            pytype = type(current) if current is not None else float
-            if name == "snr_db":
-                pytype = float
-            values[name] = _parse_value(name, raw, pytype)
-        else:
-            values[name] = tuple(raw) if name == "stage_channels" else raw
-    merged = dataclasses.asdict(defaults)
-    merged.update(values)
-    return TrainConfig(**merged)
+        parsed[name] = _parse_value(name, raw, _FIELD_TYPES[name])
+    return dataclasses.replace(base or TrainConfig(), **parsed)
 
 
 def config_from_file(path, overrides: dict | None = None) -> TrainConfig:
@@ -274,7 +270,12 @@ def load_checkpoint(path) -> Checkpoint:
         if version != CKPT_VERSION:
             raise ContractError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = _unpack(f, "<I", "config length")
-        config = json.loads(_read_exact(f, cfg_len, "config").decode("utf-8"))
+        try:
+            config = json.loads(_read_exact(f, cfg_len, "config").decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            raise ContractError(f"{path}: corrupt checkpoint config ({e})") from None
+        if not isinstance(config, dict):
+            raise ContractError(f"{path}: checkpoint config is not a key-value object")
         step, adam_t, seed, counter, n_entries = _unpack(f, "<QQqQI", "header")
         params, adam_m, adam_v = {}, {}, {}
         for _ in range(n_entries):

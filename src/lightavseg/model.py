@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import Spectrogram
 from .backbones import AudioEmbed, AudioState, BackboneConfig, VisualBackbone
 from .decoder import FusionDecoder, SegOutput
 from .encoder import EncoderOutput, ReciprocalEncoder
@@ -44,9 +43,6 @@ class SegModel:
                                      enable_cmfd=cfg.enable_cmfd)
 
     # -- parameters ---------------------------------------------------------
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def audio_backbone_param_names(self) -> set[str]:
         return {n for n in self.params if n.startswith("audio_embed.")}
@@ -87,8 +83,3 @@ class SegModel:
         enc = self.encoder.forward(frames, a0)
         seg = self.decoder.forward(enc, (frames.shape[2], frames.shape[3]))
         return seg, enc
-
-    def forward_spectrogram(self, frames: Tensor, spec: Spectrogram | None,
-                            mute_audio: bool = False):
-        mel = spec.windows if spec is not None else None
-        return self.forward(frames, mel, mute_audio=mute_audio)

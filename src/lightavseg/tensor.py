@@ -180,9 +180,6 @@ class RngState:
     def permutation(self, n: int) -> np.ndarray:
         return self._next().permutation(n)
 
-    def copy(self) -> "RngState":
-        return RngState(self.seed, self.counter)
-
 
 def glorot_uniform(rng: RngState, shape, fan_in: int, fan_out: int) -> np.ndarray:
     """Symmetric uniform init in +-sqrt(6/(fan_in+fan_out))."""
@@ -870,6 +867,50 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
+def _probe(f, flat: np.ndarray, grad, max_coords, rng: RngState, tol: float,
+           fd_step: float, fd_step_fallback: float | None) -> GradCheckReport:
+    """Central differences of the scalar ``f()`` against ``grad`` over ``flat``.
+
+    ``flat`` is a flat view of what ``f`` reads; more than ``max_coords``
+    coordinates are subsampled from ``rng``. Each probed coordinate is set to
+    x_i + h, then x_i - h, and restored by assignment, so every evaluation
+    differs from x in exactly one coordinate.
+    """
+    a_flat = grad.reshape(-1) if grad is not None else np.zeros(flat.size)
+    coords = np.arange(flat.size)
+    if max_coords is not None and flat.size > max_coords:
+        coords = rng._next().choice(flat.size, size=max_coords, replace=False)
+
+    def numeric_at(i, step):
+        orig = flat[i]
+        h = step * max(1.0, abs(orig))
+        with no_grad():
+            try:
+                flat[i] = orig + h
+                hi = f().item()
+                flat[i] = orig - h
+                lo = f().item()
+            finally:
+                flat[i] = orig
+        return (hi - lo) / (2 * h)
+
+    max_err = 0.0
+    failures = []
+    for i in coords:
+        numeric = numeric_at(i, fd_step)
+        err = _rel_err(a_flat[i], numeric)
+        if err >= tol and fd_step_fallback is not None:
+            numeric2 = numeric_at(i, fd_step_fallback)
+            err2 = _rel_err(a_flat[i], numeric2)
+            if err2 < err:
+                numeric, err = numeric2, err2
+        max_err = max(max_err, err)
+        if err >= tol:
+            failures.append((int(i), float(a_flat[i]), float(numeric), float(err)))
+    return GradCheckReport(max_rel_err=max_err, tol=tol,
+                           n_checked=len(coords), failures=failures)
+
+
 def grad_check(f, x: Tensor, tol: float = 1e-4, max_coords=None,
                rng: RngState | None = None, fd_step: float = 1e-3,
                fd_step_fallback: float | None = 1e-4) -> GradCheckReport:
@@ -884,45 +925,10 @@ def grad_check(f, x: Tensor, tol: float = 1e-4, max_coords=None,
     coordinates checked (seeded via ``rng``).
     """
     leaf = Tensor(x.data.copy(), requires_grad=True, op="gradcheck_leaf")
-    out = f(leaf)
-    backward(out)
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-
-    flat = x.data.reshape(-1)
-    coords = np.arange(flat.size)
-    if max_coords is not None and flat.size > max_coords:
-        rng = rng or RngState(0)
-        coords = rng._next().choice(flat.size, size=max_coords, replace=False)
-
-    a_flat = analytic.reshape(-1)
-    base = flat.copy()
-
-    def numeric_at(i, step):
-        h = step * max(1.0, abs(base[i]))
-        with no_grad():
-            base[i] += h
-            hi = f(Tensor(base.reshape(x.data.shape))).item()
-            base[i] -= 2 * h
-            lo = f(Tensor(base.reshape(x.data.shape))).item()
-            base[i] += h
-        return (hi - lo) / (2 * h)
-
-    max_err = 0.0
-    failures = []
-    for i in coords:
-        numeric = numeric_at(i, fd_step)
-        err = _rel_err(a_flat[i], numeric)
-        if err >= tol and fd_step_fallback is not None:
-            numeric2 = numeric_at(i, fd_step_fallback)
-            err2 = _rel_err(a_flat[i], numeric2)
-            if err2 < err:
-                numeric, err = numeric2, err2
-        if err > max_err:
-            max_err = err
-        if err >= tol:
-            failures.append((int(i), float(a_flat[i]), float(numeric), float(err)))
-    return GradCheckReport(max_rel_err=max_err, tol=tol,
-                           n_checked=len(coords), failures=failures)
+    backward(f(leaf))
+    base = x.data.copy()
+    return _probe(lambda: f(Tensor(base)), base.reshape(-1), leaf.grad, max_coords,
+                  rng or RngState(0), tol, fd_step, fd_step_fallback)
 
 
 def grad_check_params(f, params: dict, tol: float = 1e-4,
@@ -941,44 +947,7 @@ def grad_check_params(f, params: dict, tol: float = 1e-4,
     rng = rng or RngState(0)
     for p in params.values():
         p.zero_grad()
-    out = f()
-    backward(out)
-
-    reports = {}
-    for name, p in params.items():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        a_flat = analytic.reshape(-1)
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if n > max_coords_per_param:
-            coords = rng._next().choice(n, size=max_coords_per_param, replace=False)
-        else:
-            coords = np.arange(n)
-
-        def numeric_at(i, step):
-            h = step * max(1.0, abs(flat[i]))
-            orig = flat[i]
-            with no_grad():
-                flat[i] = orig + h
-                hi = f().item()
-                flat[i] = orig - h
-                lo = f().item()
-                flat[i] = orig
-            return (hi - lo) / (2 * h)
-
-        max_err = 0.0
-        failures = []
-        for i in coords:
-            numeric = numeric_at(i, fd_step)
-            err = _rel_err(a_flat[i], numeric)
-            if err >= tol and fd_step_fallback is not None:
-                numeric2 = numeric_at(i, fd_step_fallback)
-                err2 = _rel_err(a_flat[i], numeric2)
-                if err2 < err:
-                    numeric, err = numeric2, err2
-            max_err = max(max_err, err)
-            if err >= tol:
-                failures.append((int(i), float(a_flat[i]), float(numeric), float(err)))
-        reports[name] = GradCheckReport(max_rel_err=max_err, tol=tol,
-                                        n_checked=len(coords), failures=failures)
-    return reports
+    backward(f())
+    return {name: _probe(f, p.data.reshape(-1), p.grad, max_coords_per_param, rng,
+                         tol, fd_step, fd_step_fallback)
+            for name, p in params.items()}

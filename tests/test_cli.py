@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from lightavseg.cli import main, read_tensor_file, write_tensor_file
+from lightavseg.cli import (
+    _build_parser, _load_config, main, read_tensor_file, write_tensor_file,
+)
 from lightavseg.tensor import ContractError, RngState
 
 
@@ -44,6 +46,28 @@ class TestTrainCli:
         text = (tmp_path / "r" / "config.txt").read_text()
         assert "seed=41" in text
 
+    @pytest.mark.parametrize("line,env_seed,key", [
+        ("steps=abc", None, "steps"),
+        ("lr=none", None, "lr"),
+        ("hw=none", None, "hw"),
+        ("enable_har=maybe", None, "enable_har"),
+        ("stage_channels=4,x,6,7", None, "stage_channels"),
+        ("snr_db=abc", None, "snr_db"),
+        ("steps=1", "abc", "seed"),
+    ])
+    def test_bad_config_value_is_contract_error(self, tmp_path, monkeypatch, capsys,
+                                                line, env_seed, key):
+        if env_seed is not None:
+            monkeypatch.setenv("LIGHTAVSEG_SEED", env_seed)
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(line + "\n")
+        argv = ["train", "--out", str(tmp_path / "r"), "--config", str(cfg)]
+        with pytest.raises(ContractError, match=key):
+            _load_config(_build_parser().parse_args(argv))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "r").exists()
+
 
 class TestEvalCli:
     def test_eval_and_mute_audio(self, tmp_path, capsys):
@@ -76,6 +100,16 @@ class TestEvalCli:
         cut.write_bytes(full[:-13])
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(cut)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_eval_corrupt_checkpoint_config_fails_cleanly(self, tmp_path, capsys):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        data = bytearray((tmp_path / "run" / "ckpt_final.bin").read_bytes())
+        data[14] = 0xFF  # inside the config JSON, which starts at byte 12
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_eval_dump_alignment_writes_per_scene_maps(self, tmp_path):
@@ -144,6 +178,21 @@ class TestOtherCommands:
         assert dumped.shape == (1, 1, 32, 32)
         assert (tmp_path / "ins" / "pred_mask.png").exists()
         assert (tmp_path / "ins" / "alignment_scale0.tnsr").exists()
+
+    @pytest.mark.parametrize("with_data,index", [(True, 5), (True, -1), (False, -1),
+                                                 (False, 4)])
+    def test_inspect_index_out_of_range_fails_cleanly(self, tmp_path, capsys,
+                                                      with_data, index):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        argv = ["inspect", "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
+                "--index", str(index), "--out", str(tmp_path / "ins")]
+        if with_data:
+            assert main(["synth-data", "--out", str(tmp_path / "d"), "--scenes", "2",
+                         "--hw", "32"]) == 0
+            argv += ["--data", str(tmp_path / "d")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_tensor_file_round_trip(self, tmp_path):
         arr = RngState(1).uniform((2, 3, 4), -5, 5)

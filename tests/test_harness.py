@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightavseg.data import generate_dataset
 from lightavseg.harness import (
@@ -72,6 +74,32 @@ class TestConfig:
         p.write_text(config_to_flat_text(cfg))
         back = config_from_file(p)
         assert dataclasses.asdict(back) == dataclasses.asdict(cfg)
+
+    # one strategy per TrainConfig field, within what __post_init__ accepts
+    FIELD_VALUES = {
+        "lr": st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+        "lam": st.floats(min_value=0, allow_infinity=False),
+        "tau": st.floats(min_value=0, allow_infinity=False),
+        "weight_decay": st.floats(allow_nan=False, allow_infinity=False),
+        "loss_variant": st.sampled_from(["seg", "seg+msa", "seg+avm"]),
+        "stage_channels": st.tuples(*[st.integers(1, 512)] * 4),
+        "snr_db": st.none() | st.floats(allow_nan=False, allow_infinity=False),
+        **{name: st.booleans() for name in (
+            "freeze_audio_backbone", "enable_har", "enable_agve", "enable_cmfd")},
+        **{name: st.integers(-2**40, 2**40) for name in (
+            "batch_size", "steps", "seed", "audio_channels", "stem_channels",
+            "num_classes", "interact_stages", "hw", "n_scenes", "frames_per_scene",
+            "ckpt_every", "log_every")},
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries(FIELD_VALUES))
+    def test_every_field_round_trips_through_text(self, tmp_path_factory, values):
+        assert set(values) == {f.name for f in dataclasses.fields(TrainConfig)}
+        cfg = TrainConfig(**values)
+        p = tmp_path_factory.mktemp("cfg") / "c.txt"
+        p.write_text(config_to_flat_text(cfg))
+        assert dataclasses.asdict(config_from_file(p)) == dataclasses.asdict(cfg)
 
     def test_lambda_alias_and_overrides(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -145,6 +173,22 @@ class TestCheckpoint:
             cut.write_bytes(full[:n])
             with pytest.raises(ContractError):
                 load_checkpoint(cut)
+
+    # the config JSON starts at byte 12, after magic, version and its length
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: b[:14] + b"\xff" + b[15:],
+        lambda b: b[:12] + b"x" + b[13:],
+        lambda b: (b[:8] + struct.pack("<I", 2) + b"[]"
+                   + b[12 + struct.unpack("<I", b[8:12])[0]:]),
+    ], ids=["not-utf8", "not-json", "not-an-object"])
+    def test_corrupt_config_raises_contract_error(self, tmp_path, corrupt):
+        cfg = toy_config()
+        model = SegModel(cfg.model_config(), RngState(0))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, cfg, model.params, AdamWState(), RngState(0), 0)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ContractError, match="config"):
+            load_checkpoint(path)
 
     def test_mismatched_config_rejected(self, tmp_path):
         cfg = toy_config()

@@ -498,6 +498,28 @@ class TestGradCheckNegativeControl:
         assert not r.passed
         assert len(r.failures) == 6
 
+    def test_each_evaluation_moves_one_coordinate_by_h(self):
+        # tol=0 fails every coordinate, so each one is probed at both steps
+        x = rand((4, 9), seed=78, lo=-3.0, hi=3.0)
+        x0 = x.data.copy()
+        seen = []
+
+        def f(t):
+            seen.append(t.data.copy())
+            return T.tsum(T.mul(t, t))
+
+        grad_check(f, x, tol=0.0, fd_step=1e-3, fd_step_fallback=1e-4)
+        np.testing.assert_array_equal(x.data, x0)
+        np.testing.assert_array_equal(seen[0], x0)  # the analytic pass
+        probes = seen[1:]
+        assert len(probes) == 4 * x0.size
+        for k, arr in enumerate(probes):
+            (i,) = np.flatnonzero(arr != x0)
+            assert i == k // 4
+            xi = x0.flat[i]
+            h = (1e-3, 1e-4)[k % 4 // 2] * max(1.0, abs(xi))
+            assert arr.flat[i] == (xi + h if k % 2 == 0 else xi - h)
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
