@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 import typing
 from dataclasses import dataclass, field, fields
@@ -71,10 +72,17 @@ class TrainConfig:
 
     def __post_init__(self):
         self.stage_channels = tuple(int(c) for c in self.stage_channels)
-        if self.lr <= 0:
-            raise ContractError(f"learning rate must be positive, got {self.lr}")
-        if self.lam < 0 or self.tau < 0:
-            raise ContractError("lambda and tau must be non-negative")
+        # written so that NaN fails every comparison
+        if not 0 < self.lr < math.inf:
+            raise ContractError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("lam", "tau"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ContractError(
+                    f"{name} must be non-negative and finite, got {getattr(self, name)}")
+        for name, low in (("batch_size", 1), ("steps", 0), ("n_scenes", 1), ("hw", 1),
+                          ("log_every", 1), ("ckpt_every", 0)):
+            if not getattr(self, name) >= low:
+                raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.loss_variant not in ("seg", "seg+msa", "seg+avm"):
             raise ContractError(f"unknown loss variant {self.loss_variant!r}")
 

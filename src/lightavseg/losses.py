@@ -13,13 +13,15 @@ both averaged over frames.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import (
-    ContractError, DimensionError, Tensor, add, bilinear_upsample, clamp, div,
-    l2_normalize, mul, sigmoid, softplus, sub, tlog, tmean, tsum,
+    FLOPS, ContractError, DimensionError, Tensor, _accum, _result, _sigmoid_data,
+    add, bilinear_upsample, div, l2_normalize, mul, no_grad, sigmoid, sub, tlog,
+    tmean, tsum,
 )
 
 PROB_EPS = 1e-7
@@ -68,32 +70,86 @@ def foreground_mask(y: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Segmentation losses
+#
+# Each loss is one graph node: the forward is plain numpy over the whole
+# batch and the backward is its closed-form gradient with respect to the
+# first argument. The mask is data, so a mask that requires grad is refused
+# rather than silently left without a gradient. Each op records the FLOPs of
+# the elementwise chain it replaces.
 # ---------------------------------------------------------------------------
 
+def _mask_data(x: Tensor, mask: Tensor, name: str) -> np.ndarray:
+    if mask.requires_grad:
+        raise ContractError(f"{name}: the mask is data and must not require grad")
+    if x.shape != mask.shape:
+        raise DimensionError(f"{name} shapes differ: {x.shape} vs {mask.shape}")
+    return mask.data
+
+
 def dice_loss(logits: Tensor, mask: Tensor, smooth: float = 1.0) -> Tensor:
-    """Soft Dice with +1 smoothing, computed per frame and averaged."""
-    if logits.shape != mask.shape:
-        raise DimensionError(f"dice shapes differ: {logits.shape} vs {mask.shape}")
-    p = sigmoid(logits)
-    inter = tsum(mul(p, mask), axis=(1, 2, 3))
-    denom = add(tsum(p, axis=(1, 2, 3)), tsum(mask, axis=(1, 2, 3)))
-    frac = div(add(mul(inter, 2.0), smooth), add(denom, smooth))
-    return tmean(sub(1.0, frac))
+    """Soft Dice with +1 smoothing, computed per frame and averaged.
+
+    With p = sigmoid(x), per frame D = sum p + sum m + smooth and
+    frac = (2 sum p*m + smooth) / D; the gradient is
+    (frac - 2m) / (B * D) * p * (1 - p).
+    """
+    m = _mask_data(logits, mask, "dice")
+    x = logits.data
+    batch = x.shape[0]
+    p = _sigmoid_data(x)
+    axes = tuple(range(1, x.ndim))
+    inter = (p * m).sum(axis=axes, keepdims=True)
+    denom = p.sum(axis=axes, keepdims=True) + m.sum(axis=axes, keepdims=True)
+    denom += smooth
+    frac = (inter * 2.0 + smooth) / denom
+    out = (1.0 - frac).sum().reshape(1) * (1.0 / batch)
+    FLOPS.add(elems=5 * x.size + 7 * batch + 1)
+
+    def bw(g):
+        _accum(logits, (frac - 2.0 * m) * (g / (batch * denom)) * (p * (1.0 - p)))
+
+    return _result(out, "dice_loss", (logits,), bw)
 
 
 def bce_loss(logits: Tensor, mask: Tensor) -> Tensor:
-    """Mean logit-stable binary cross-entropy."""
-    if logits.shape != mask.shape:
-        raise DimensionError(f"bce shapes differ: {logits.shape} vs {mask.shape}")
-    return tmean(sub(softplus(logits), mul(logits, mask)))
+    """Mean logit-stable binary cross-entropy; gradient (sigmoid(x) - m) / N."""
+    m = _mask_data(logits, mask, "bce")
+    x = logits.data
+    n = x.size
+    # softplus as max(x, 0) + log1p(exp(-|x|)): np.logaddexp is about 5x slower
+    softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = (softplus - x * m).sum().reshape(1) * (1.0 / n)
+    FLOPS.add(elems=4 * n + 1)
+
+    def bw(g):
+        _accum(logits, (_sigmoid_data(x) - m) * (g / n))
+
+    return _result(out, "bce_loss", (logits,), bw)
 
 
 def bce_on_probs(probs: Tensor, mask: Tensor) -> Tensor:
-    """BCE for inputs that are already probabilities; clamped to avoid log(0)."""
-    p = clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
-    pos = mul(mask, tlog(p))
-    neg = mul(sub(1.0, mask), tlog(sub(1.0, p)))
-    return mul(tmean(add(pos, neg)), -1.0)
+    """BCE for inputs that are already probabilities; clamped to avoid log(0).
+
+    The gradient is -(m/p - (1-m)/(1-p)) / N where PROB_EPS < x < 1 - PROB_EPS,
+    and zero where the clamp is active.
+    """
+    m = _mask_data(probs, mask, "bce_on_probs")
+    x = probs.data
+    n = x.size
+    lo, hi = PROB_EPS, 1.0 - PROB_EPS
+    p = np.clip(x, lo, hi)
+    out = -((m * np.log(p) + (1.0 - m) * np.log(1.0 - p)).sum().reshape(1) * (1.0 / n))
+    FLOPS.add(elems=9 * n + 2)
+
+    def bw(g):
+        p = np.clip(x, lo, hi)  # recomputed rather than kept alive until backward
+        gp = (1.0 - m) / (1.0 - p)
+        gp -= m / p
+        gp *= g / n
+        gp[(x <= lo) | (x >= hi)] = 0.0
+        _accum(probs, gp)
+
+    return _result(out, "bce_on_probs", (probs,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +213,26 @@ def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
     """Assemble the training objective and its per-component report."""
     if lam < 0:
         raise ContractError(f"balance weight must be >= 0, got {lam}")
+    if variant not in ("seg", "seg+msa", "seg+avm"):
+        raise ContractError(f"unknown loss variant {variant!r}")
     mask = foreground_mask(y)
     d = dice_loss(logits, mask)
     b = bce_loss(logits, mask)
     seg = add(d, b)
 
-    maps = alignment_maps(features, audio, tau, logits.shape[2], logits.shape[3])
-    m, per_scale = msa_loss(maps, mask)
+    # seg logs msa without building a graph for backward to walk
+    with no_grad() if variant == "seg" else nullcontext():
+        maps = alignment_maps(features, audio, tau, logits.shape[2], logits.shape[3])
+        m, per_scale = msa_loss(maps, mask)
     avm_val = None
     if variant == "seg+avm":
         a, _ = avm_loss(maps, mask)
         loss = add(seg, mul(a, lam))
         avm_val = a.item()
     elif variant == "seg":
-        loss = add(seg, mul(m, 0.0))
-    elif variant == "seg+msa":
-        loss = add(seg, mul(m, lam))
+        loss = seg
     else:
-        raise ContractError(f"unknown loss variant {variant!r}")
+        loss = add(seg, mul(m, lam))
     return LossReport(
         dice=d.item(), bce=b.item(), msa=m.item(), total=loss.item(),
         per_scale_msa=[t.item() for t in per_scale], avm=avm_val, loss=loss)

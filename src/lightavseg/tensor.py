@@ -66,25 +66,28 @@ class FlopCounter:
 
     def __init__(self):
         self._stack: list[str] = []
+        self._open: tuple[str, ...] = (self.TOTAL,)  # distinct open scopes and TOTAL
         self._madds: dict[str, int] = defaultdict(int)
         self._elems: dict[str, int] = defaultdict(int)
 
     @contextmanager
     def scope(self, name: str):
         self._stack.append(name)
+        if name not in self._open:
+            self._open += (name,)
         try:
             yield self
         finally:
             self._stack.pop()
+            if name != self.TOTAL and name not in self._stack:
+                self._open = tuple(n for n in self._open if n != name)
 
     def add(self, madds: int = 0, elems: int = 0):
-        names = set(self._stack)
-        names.add(self.TOTAL)
         if madds:
-            for n in names:
+            for n in self._open:
                 self._madds[n] += madds
         if elems:
-            for n in names:
+            for n in self._open:
                 self._elems[n] += elems
 
     def madds(self, scope: str = TOTAL) -> int:

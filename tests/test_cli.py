@@ -68,6 +68,14 @@ class TestTrainCli:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch-size", "0"), ("--steps", "-3"), ("--log-every", "0"), ("--lr", "nan"),
+    ])
+    def test_out_of_range_flag_fails_cleanly(self, tmp_path, capsys, flag, value):
+        assert main(toy_train_args(tmp_path / "r", (flag, value))) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "r").exists()
+
 
 class TestEvalCli:
     def test_eval_and_mute_audio(self, tmp_path, capsys):

@@ -87,9 +87,11 @@ class TestConfig:
         **{name: st.booleans() for name in (
             "freeze_audio_backbone", "enable_har", "enable_agve", "enable_cmfd")},
         **{name: st.integers(-2**40, 2**40) for name in (
-            "batch_size", "steps", "seed", "audio_channels", "stem_channels",
-            "num_classes", "interact_stages", "hw", "n_scenes", "frames_per_scene",
-            "ckpt_every", "log_every")},
+            "seed", "audio_channels", "stem_channels", "num_classes",
+            "interact_stages", "frames_per_scene")},
+        **{name: st.integers(low, 2**40) for name, low in (
+            ("batch_size", 1), ("steps", 0), ("n_scenes", 1), ("hw", 1),
+            ("log_every", 1), ("ckpt_every", 0))},
     }
 
     @settings(max_examples=60, deadline=None)
@@ -116,6 +118,18 @@ class TestConfig:
             TrainConfig(lr=0.0)
         with pytest.raises(ContractError):
             TrainConfig(loss_variant="nope")
+
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", 0), ("steps", -1), ("n_scenes", 0), ("hw", 0),
+        ("log_every", 0), ("ckpt_every", -1),
+        ("lr", float("nan")), ("lr", float("inf")), ("lam", float("nan")),
+        ("lam", float("inf")), ("tau", float("nan")), ("tau", float("inf")),
+    ])
+    def test_out_of_range_value_rejected(self, key, value):
+        with pytest.raises(ContractError, match=key):
+            TrainConfig(**{key: value})
+        with pytest.raises(ContractError):
+            config_from_mapping({key: str(value)})
 
 
 class TestCheckpoint:

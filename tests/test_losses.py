@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from lightavseg.backbones import AudioState
+from lightavseg import tensor as T
 from lightavseg.losses import (
-    AlignmentMaps, alignment_maps, avm_loss, bce_loss, dice_loss,
-    foreground_mask, fscore, miou, msa_loss, total_loss,
+    PROB_EPS, AlignmentMaps, alignment_maps, avm_loss, bce_loss, bce_on_probs,
+    dice_loss, foreground_mask, fscore, miou, msa_loss, total_loss,
 )
-from lightavseg.tensor import ContractError, RngState, Tensor, grad_check
+from lightavseg.tensor import (
+    FLOPS, ContractError, DimensionError, RngState, Tensor, backward, grad_check,
+    topo_order,
+)
 
 
 def logits_for(p):
@@ -56,6 +60,105 @@ class TestBceLoss:
     def test_single_pixel_label_one(self):
         loss = bce_loss(Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.ones((1, 1, 1, 1))))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Fused loss ops against the elementwise-op chains they replaced
+# ---------------------------------------------------------------------------
+
+def ref_dice(logits, mask, smooth=1.0):
+    p = T.sigmoid(logits)
+    inter = T.tsum(T.mul(p, mask), axis=(1, 2, 3))
+    denom = T.add(T.tsum(p, axis=(1, 2, 3)), T.tsum(mask, axis=(1, 2, 3)))
+    frac = T.div(T.add(T.mul(inter, 2.0), smooth), T.add(denom, smooth))
+    return T.tmean(T.sub(1.0, frac))
+
+
+def ref_bce(logits, mask):
+    return T.tmean(T.sub(T.softplus(logits), T.mul(logits, mask)))
+
+
+def ref_bce_on_probs(probs, mask):
+    p = T.clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
+    pos = T.mul(mask, T.tlog(p))
+    neg = T.mul(T.sub(1.0, mask), T.tlog(T.sub(1.0, p)))
+    return T.mul(T.tmean(T.add(pos, neg)), -1.0)
+
+
+FUSED_AND_REF = [(dice_loss, ref_dice), (bce_loss, ref_bce),
+                 (bce_on_probs, ref_bce_on_probs)]
+FUSED = [fused for fused, _ in FUSED_AND_REF]
+SHAPES = [(2, 1, 8, 8), (1, 1, 5, 7), (3, 1, 6, 9), (3, 2, 3, 1)]
+
+
+def loss_inputs(fused, shape, seed):
+    rng = RngState(seed)
+    if fused is bce_on_probs:
+        x = rng.uniform(shape, 0.0, 1.0)
+    else:
+        x = rng.uniform(shape, -4.0, 4.0)
+    return x, (rng.uniform(shape, 0, 1) > 0.5).astype(float)
+
+
+def value_grad_flops(f, x, m):
+    xt = Tensor(x.copy(), requires_grad=True)
+    FLOPS.reset()
+    loss = f(xt, Tensor(m))
+    flops = FLOPS.report()
+    backward(loss)
+    return loss, xt.grad, flops
+
+
+class TestFusedLossOps:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("fused,ref", FUSED_AND_REF)
+    def test_value_gradient_and_flops_match_reference(self, fused, ref, shape):
+        x, m = loss_inputs(fused, shape, seed=len(shape) + sum(shape))
+        loss, grad, flops = value_grad_flops(fused, x, m)
+        ref_loss, ref_grad, ref_flops = value_grad_flops(ref, x, m)
+        assert loss.shape == ref_loss.shape == (1,)
+        assert abs(loss.item() - ref_loss.item()) <= 1e-12
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+        assert flops == ref_flops
+
+    def test_one_graph_node_over_the_input(self):
+        x = Tensor(RngState(1).uniform((2, 1, 4, 4), 0.1, 0.9), requires_grad=True)
+        m = Tensor(np.ones((2, 1, 4, 4)))
+        for fused in FUSED:
+            assert topo_order(fused(x, m))[:-1] == [x]
+
+    def test_bce_on_probs_clamped_probabilities_get_zero_gradient(self):
+        lo, hi = PROB_EPS, 1.0 - PROB_EPS
+        x = np.array([0.0, 1.0, lo, hi, 0.5, 1e-9, 1.0 - 1e-9, 0.3]).reshape(2, 1, 2, 2)
+        m = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]).reshape(2, 1, 2, 2)
+        loss, grad, _ = value_grad_flops(bce_on_probs, x, m)
+        ref_loss, ref_grad, _ = value_grad_flops(ref_bce_on_probs, x, m)
+        assert abs(loss.item() - ref_loss.item()) <= 1e-12
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
+        clamped = (x <= lo) | (x >= hi)
+        assert clamped.sum() == 6
+        np.testing.assert_array_equal(grad[clamped], 0.0)
+        assert np.all(grad[~clamped] != 0.0)
+
+    @pytest.mark.parametrize("fused", FUSED)
+    def test_grad_check(self, fused):
+        x, m = loss_inputs(fused, (2, 1, 3, 5), seed=9)
+        if fused is bce_on_probs:
+            x = 0.05 + 0.9 * x  # central differences stay clear of the clamp
+        mask = Tensor(m)
+        rep = grad_check(lambda t: fused(t, mask), Tensor(x, requires_grad=True))
+        assert rep.passed and rep.n_checked == x.size, rep.failures[:3]
+
+    @pytest.mark.parametrize("fused", FUSED)
+    def test_mask_that_requires_grad_is_refused(self, fused):
+        x = Tensor(np.full((1, 1, 2, 2), 0.5), requires_grad=True)
+        with pytest.raises(ContractError, match="mask"):
+            fused(x, Tensor(np.ones((1, 1, 2, 2)), requires_grad=True))
+
+    @pytest.mark.parametrize("fused", FUSED)
+    def test_shape_mismatch_rejected(self, fused):
+        with pytest.raises(DimensionError):
+            fused(Tensor(np.full((1, 1, 2, 2), 0.5)), Tensor(np.ones((1, 1, 2, 3))))
 
 
 class TestForegroundMask:
@@ -171,6 +274,21 @@ class TestTotalLoss:
         logits, feats, auds, y = self._inputs(3)
         rep = total_loss(logits, feats, auds, y, lam=0.5, variant="seg")
         assert rep.total == pytest.approx(rep.dice + rep.bce, abs=1e-12)
+
+    def test_variant_seg_builds_no_alignment_graph(self):
+        logits, feats, auds, y = self._inputs(3)
+        logits = Tensor(logits.data, requires_grad=True)
+        feats = [Tensor(f.data, requires_grad=True) for f in feats]
+        rep = total_loss(logits, feats, auds, y, lam=0.5, variant="seg")
+        order = topo_order(rep.loss)
+        assert not {id(f) for f in feats} & {id(t) for t in order}
+        assert {t.op for t in order}.isdisjoint(
+            {"sqrt", "sigmoid", "bilinear_upsample", "bce_on_probs"})
+        backward(rep.loss)
+        assert logits.grad is not None and all(f.grad is None for f in feats)
+        # the logged alignment term is the one seg+msa trains on
+        ref = total_loss(logits, feats, auds, y, lam=0.5, variant="seg+msa")
+        assert rep.msa == ref.msa and rep.per_scale_msa == ref.per_scale_msa
 
     def test_variant_avm_reports_avm(self):
         logits, feats, auds, y = self._inputs(4)

@@ -465,6 +465,19 @@ class TestFlopCounter:
         assert FLOPS.madds("outer") == FLOPS.madds("inner") == 2 * 2 * 2 * 2
         assert FLOPS.madds() == FLOPS.madds("outer")
 
+    def test_scope_nested_in_itself_counts_once(self):
+        c = T.FlopCounter()
+        with c.scope("a"):
+            with c.scope("a"), c.scope(c.TOTAL):
+                c.add(elems=1)
+            c.add(elems=10)              # the outer "a" is still open
+            with c.scope("b"):
+                c.add(madds=100)
+        c.add(elems=1000)
+        assert c.report() == {"a": {"madds": 100, "elems": 11},
+                              "b": {"madds": 100, "elems": 0},
+                              "total": {"madds": 100, "elems": 1011}}
+
     def test_reset_clears_all(self):
         with FLOPS.scope("x"):
             T.relu(rand((4,)))
