@@ -212,7 +212,11 @@ def scaling_sweep(module: str, grid_sizes, channels: int | None = None,
 
 
 def component_report(model, hw: int = 224, reps: int = 3, seed: int = 0) -> dict:
-    """Per-component FLOPs and wall time of a full forward (latency breakdown)."""
+    """Per-component FLOPs and wall time of a full forward (latency breakdown).
+
+    ``total_wall_ms`` is the median time of a whole forward, and
+    ``unattributed_ms`` the median part of a forward outside the five sections.
+    """
     from .tensor import TIMER, no_grad
 
     rng = RngState(seed)
@@ -225,14 +229,17 @@ def component_report(model, hw: int = 224, reps: int = 3, seed: int = 0) -> dict
         model.forward(frames, mel)
     flops = {n: {"madds": FLOPS.madds(n), "elems": FLOPS.elems(n)} for n in names}
 
-    times = []
+    times, totals = [], []
     for _ in range(reps):
         TIMER.reset()
+        t0 = time.perf_counter()
         with no_grad():
             model.forward(frames, mel)
+        totals.append((time.perf_counter() - t0) * 1e3)
         times.append({n: TIMER.seconds(n) * 1e3 for n in names})
     med = {n: float(np.median([t[n] for t in times])) for n in names}
-    total_ms = sum(med.values())
+    total_ms = float(np.median(totals))
+    rest = [max(0.0, tot - sum(t.values())) for tot, t in zip(totals, times)]
     return {
         "hw": hw,
         "components": [
@@ -241,4 +248,5 @@ def component_report(model, hw: int = 224, reps: int = 3, seed: int = 0) -> dict
              "share": med[n] / total_ms if total_ms > 0 else 0.0}
             for n in names],
         "total_wall_ms": total_ms,
+        "unattributed_ms": float(np.median(rest)),
     }

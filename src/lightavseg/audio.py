@@ -3,11 +3,8 @@
 The frontend follows the 96x64 one-second-window convention: audio is
 resampled to 16 kHz mono, split into one-second segments (one per visual
 frame), and each segment becomes 96 Hann-windowed STFT frames (25 ms window,
-10 ms hop) reduced by a 64-band triangular mel filterbank spanning
-125-7500 Hz, then log-compressed with a 1e-10 floor.
-
-The 512-point real FFT is implemented in-repo (iterative radix-2, vectorized
-over the frame axis) and is verified against a brute-force DFT in the tests.
+10 ms hop, 512-point ``numpy.fft.rfft``) reduced by a 64-band triangular
+mel filterbank spanning 125-7500 Hz, then log-compressed with a 1e-10 floor.
 """
 
 from __future__ import annotations
@@ -71,46 +68,12 @@ class Spectrogram:
         return self.windows.shape[0]
 
 
-# ---------------------------------------------------------------------------
-# FFT (in-repo radix-2)
-# ---------------------------------------------------------------------------
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    return rev
-
-
-def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 FFT over the last axis (length must be a power of two)."""
-    n = x.shape[-1]
-    if n & (n - 1) or n == 0:
-        raise ContractError(f"FFT length must be a power of two, got {n}")
-    a = np.asarray(x, dtype=np.complex128)[..., _bit_reverse_indices(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        a = a.reshape(a.shape[:-1] + (n // size, size))
-        even = a[..., :half]
-        odd = a[..., half:] * tw
-        a = np.concatenate([even + odd, even - odd], axis=-1)
-        a = a.reshape(a.shape[:-2] + (n,))
-        size *= 2
-    return a
-
-
 def rfft_power(frames: np.ndarray, n_fft: int = N_FFT) -> np.ndarray:
-    """Power spectrum |FFT|^2 of real frames, bins 0..n_fft/2."""
+    """Power spectrum |FFT|^2 of real frames zero-padded to n_fft, bins 0..n_fft/2."""
     if frames.shape[-1] > n_fft:
         raise ContractError(f"frame length {frames.shape[-1]} exceeds FFT size {n_fft}")
-    padded = np.zeros(frames.shape[:-1] + (n_fft,))
-    padded[..., :frames.shape[-1]] = frames
-    spec = fft_radix2(padded)[..., :n_fft // 2 + 1]
-    return (spec.real ** 2 + spec.imag ** 2)
+    spec = np.fft.rfft(frames, n=n_fft)
+    return spec.real ** 2 + spec.imag ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +193,25 @@ def synth_tone(freq_hz: float, duration_s: float, amplitude: float,
 # ---------------------------------------------------------------------------
 
 def read_wav(path) -> Waveform:
-    """16-bit little-endian PCM WAV; stereo is averaged to mono."""
-    with wave.open(str(path), "rb") as f:
-        if f.getsampwidth() != 2:
-            raise ContractError(f"{path}: only 16-bit PCM WAV supported, "
-                                f"got sample width {f.getsampwidth()}")
-        n_channels = f.getnchannels()
-        rate = f.getframerate()
-        raw = f.readframes(f.getnframes())
+    """16-bit little-endian PCM WAV; stereo is averaged to mono.
+
+    A truncated or malformed file is a ContractError, never zero-padded.
+    """
+    try:
+        with wave.open(str(path), "rb") as f:
+            sample_width = f.getsampwidth()
+            n_channels = f.getnchannels()
+            rate = f.getframerate()
+            n_frames = f.getnframes()
+            raw = f.readframes(n_frames)
+    except (wave.Error, EOFError) as e:
+        raise ContractError(f"{path}: malformed WAV ({str(e) or 'truncated'})") from None
+    if sample_width != 2:
+        raise ContractError(f"{path}: only 16-bit PCM WAV supported, "
+                            f"got sample width {sample_width}")
+    if len(raw) != n_frames * n_channels * 2:
+        raise ContractError(f"{path}: truncated WAV data ({len(raw)} bytes, "
+                            f"header says {n_frames * n_channels * 2})")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_channels > 1:
         data = data.reshape(-1, n_channels).mean(axis=1)

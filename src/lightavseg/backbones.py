@@ -72,10 +72,6 @@ class AudioState:
     def frames(self) -> int:
         return self.value.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return self.value.shape[1]
-
 
 class VisualStage:
     """Stride-2 3x3 conv + ReLU + pointwise mixing + ReLU."""

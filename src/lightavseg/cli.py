@@ -11,38 +11,31 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import struct
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .tensor import ContractError, DimensionError, NumericalError, RngState, _read_exact
+from .tensor import (
+    ContractError, DimensionError, NumericalError, RngState, read_array, write_array,
+)
 
 TENSOR_MAGIC = b"TNSR"
 
 
 def write_tensor_file(path, arr: np.ndarray):
     """Flat binary tensor: magic 'TNSR', u32 ndim, u32 dims, f64 LE data."""
-    arr = np.asarray(arr, dtype=np.float64)
     with open(path, "wb") as f:
         f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<I", arr.ndim))
-        for d in arr.shape:
-            f.write(struct.pack("<I", d))
-        f.write(arr.astype("<f8").tobytes())
+        write_array(f, arr)
 
 
 def read_tensor_file(path) -> np.ndarray:
     with open(path, "rb") as f:
         if f.read(4) != TENSOR_MAGIC:
             raise ContractError(f"{path}: not a tensor dump")
-        (ndim,) = struct.unpack("<I", _read_exact(f, 4, "tensor rank"))
-        shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "tensor shape"))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(_read_exact(f, 8 * count, "tensor data"), dtype="<f8")
-    return data.reshape(shape).copy()
+        return read_array(f, "tensor")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -70,13 +70,12 @@ class FusionDecoder:
     """Recurrent-audio top-down decoder emitting segmentation logits."""
 
     def __init__(self, stage_channels, rng: RngState, params: dict,
-                 num_classes: int = 1, interact_stages: int = 3,
+                 interact_stages: int = 3,
                  enable_cmfd: bool = True, prefix: str = "decoder"):
         if interact_stages > len(stage_channels):
             raise ContractError(
                 f"cannot interact at {interact_stages} of {len(stage_channels)} stages")
         self.channels = tuple(stage_channels)
-        self.num_classes = num_classes
         self.interact_stages = interact_stages
         self.enable_cmfd = enable_cmfd
         n = len(self.channels)
@@ -99,7 +98,8 @@ class FusionDecoder:
         for i in range(n - 1, 0, -1):
             self.align[i] = Linear1x1(f"{prefix}.align{i + 1}to{i}",
                                       self.channels[i], self.channels[i - 1], rng, params)
-        self.head = Linear1x1(f"{prefix}.head", self.channels[0], num_classes, rng, params)
+        # one foreground plane, the only output the losses and metrics read
+        self.head = Linear1x1(f"{prefix}.head", self.channels[0], 1, rng, params)
 
     def forward(self, enc: EncoderOutput, out_hw,
                 zero_recurrence: bool = False) -> SegOutput:

@@ -50,13 +50,20 @@ def _model_loss_fn(model: SegModel, frames: Tensor, mel: Tensor, y: Tensor,
     return rep.loss
 
 
-def op_checks(tol: float = 1e-4) -> list[CheckResult]:
-    rng = RngState(42)
+def _checker(tol: float):
+    """A result list and ``run(name, fn, x)``, which appends one ``grad_check``."""
     results = []
 
     def run(name, fn, x):
         rep = grad_check(fn, x, tol=tol)
         results.append(CheckResult(name, rep.max_rel_err, rep.n_checked, rep.passed))
+
+    return results, run
+
+
+def op_checks(tol: float = 1e-4) -> list[CheckResult]:
+    rng = RngState(42)
+    results, run = _checker(tol)
 
     vec = Tensor(rng.uniform((8,), -0.9, 0.9) + 0.017)
     run("relu", lambda t: _sq(T.relu(t)), vec)
@@ -89,7 +96,7 @@ def op_checks(tol: float = 1e-4) -> list[CheckResult]:
 
 def module_checks(tol: float = 1e-4) -> list[CheckResult]:
     rng = RngState(7)
-    results = []
+    results, run = _checker(tol)
     c = 4
     enc_p, dec_p = fusion_stage_params(c, rng)
     v = Tensor(rng.uniform((1, c, 3, 3), -1, 1))
@@ -101,23 +108,15 @@ def module_checks(tol: float = 1e-4) -> list[CheckResult]:
         updated = audio_state_update(state, state, enhanced, dec_p)
         return _sq(visual_inject(enhanced, updated, dec_p))
 
-    rep = grad_check(fusion_fn, v, tol=tol)
-    results.append(CheckResult("fusion_step(visual)", rep.max_rel_err,
-                               rep.n_checked, rep.passed))
+    run("fusion_step(visual)", fusion_fn, v)
 
     def fusion_audio_fn(t):
         state = har_step(AudioState(t), v, enc_p)
         return _sq(agve_step(v, state))
 
-    rep = grad_check(fusion_audio_fn, a, tol=tol)
-    results.append(CheckResult("fusion_step(audio)", rep.max_rel_err,
-                               rep.n_checked, rep.passed))
-
+    run("fusion_step(audio)", fusion_audio_fn, a)
     attn_p = make_attention_params(c, 3, rng)
-    rep = grad_check(
-        lambda t: _sq(dense_attention(t, AudioState(a), attn_p)), v, tol=tol)
-    results.append(CheckResult("dense_attention", rep.max_rel_err,
-                               rep.n_checked, rep.passed))
+    run("dense_attention", lambda t: _sq(dense_attention(t, AudioState(a), attn_p)), v)
     return results
 
 

@@ -32,6 +32,7 @@ from .losses import alignment_maps, foreground_mask, fscore, miou, total_loss
 from .model import ModelConfig, SegModel
 from .tensor import (
     ContractError, RngState, Tensor, _read_exact, _sigmoid_data, backward, no_grad,
+    read_array, write_array,
 )
 
 CKPT_MAGIC = b"AVSC"
@@ -56,7 +57,6 @@ class TrainConfig:
     stage_channels: tuple = (16, 32, 64, 128)
     audio_channels: int = 128
     stem_channels: int = 8
-    num_classes: int = 1
     interact_stages: int = 3
     enable_har: bool = True
     enable_agve: bool = True
@@ -92,7 +92,6 @@ class TrainConfig:
                                     audio_channels=self.audio_channels,
                                     input_hw=self.hw,
                                     stem_channels=self.stem_channels),
-            num_classes=self.num_classes,
             interact_stages=self.interact_stages,
             enable_har=self.enable_har,
             enable_agve=self.enable_agve,
@@ -226,28 +225,8 @@ class Checkpoint:
     step: int
 
 
-def _write_entry(f, name: str, arr: np.ndarray):
-    nb = name.encode("utf-8")
-    f.write(struct.pack("<I", len(nb)))
-    f.write(nb)
-    f.write(struct.pack("<I", arr.ndim))
-    for d in arr.shape:
-        f.write(struct.pack("<I", d))
-    f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
 def _unpack(f, fmt: str, what: str):
     return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
-
-
-def _read_entry(f):
-    (nlen,) = _unpack(f, "<I", "entry name length")
-    name = _read_exact(f, nlen, "entry name").decode("utf-8")
-    (ndim,) = _unpack(f, "<I", f"rank of {name!r}")
-    shape = _unpack(f, f"<{ndim}I", f"shape of {name!r}")
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(f, 8 * count, f"data of {name!r}"), dtype="<f8")
-    return name, data.reshape(shape).copy()
 
 
 def save_checkpoint(path, cfg: TrainConfig, params: dict, state: AdamWState,
@@ -267,7 +246,9 @@ def save_checkpoint(path, cfg: TrainConfig, params: dict, state: AdamWState,
         f.write(struct.pack("<Q", rng.counter))
         f.write(struct.pack("<I", len(entries)))
         for name, arr in entries:
-            _write_entry(f, name, arr)
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<I", len(nb)) + nb)
+            write_array(f, arr)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -287,7 +268,9 @@ def load_checkpoint(path) -> Checkpoint:
         step, adam_t, seed, counter, n_entries = _unpack(f, "<QQqQI", "header")
         params, adam_m, adam_v = {}, {}, {}
         for _ in range(n_entries):
-            name, arr = _read_entry(f)
+            (nlen,) = _unpack(f, "<I", "entry name length")
+            name = _read_exact(f, nlen, "entry name").decode("utf-8")
+            arr = read_array(f, repr(name))
             if name.startswith("adam.m/"):
                 adam_m[name[len("adam.m/"):]] = arr
             elif name.startswith("adam.v/"):
@@ -310,14 +293,6 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[SegModel, TrainConfig]:
 # Training and evaluation
 # ---------------------------------------------------------------------------
 
-def _scene_tensors(scenes: list):
-    """Stack per-scene frames/masks and cache per-scene mel windows."""
-    frames = [s.frames.data for s in scenes]
-    masks = [s.masks.data for s in scenes]
-    mels = [log_mel(s.waveform).windows.data for s in scenes]
-    return frames, masks, mels
-
-
 @dataclass
 class TrainResult:
     model: SegModel
@@ -335,7 +310,10 @@ def train(cfg: TrainConfig, scenes: list | None = None,
         scenes = generate_dataset(cfg.dataset_spec())
     if not scenes:
         raise ContractError("training dataset is empty")
-    frames_np, masks_np, mels_np = _scene_tensors(scenes)
+    # per-scene arrays, the mel windows computed once for the whole run
+    frames_np = [s.frames.data for s in scenes]
+    masks_np = [s.masks.data for s in scenes]
+    mels_np = [log_mel(s.waveform).windows.data for s in scenes]
 
     model = SegModel(cfg.model_config(), RngState(cfg.seed))
     frozen = model.audio_backbone_param_names() if cfg.freeze_audio_backbone else set()

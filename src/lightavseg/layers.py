@@ -15,7 +15,6 @@ class Linear1x1:
         self.bias = parameter(np.zeros(c_out))
         params[f"{name}.weight"] = self.weight
         params[f"{name}.bias"] = self.bias
-        self.c_in, self.c_out = c_in, c_out
 
     def __call__(self, x: Tensor) -> Tensor:
         return pointwise_linear(x, self.weight, self.bias)

@@ -179,13 +179,17 @@ def alignment_maps(features: list, audio: list, tau: float, out_h: int,
     return AlignmentMaps(s=raw, s_up=up)
 
 
-def msa_loss(maps: AlignmentMaps, mask: Tensor):
-    """Mean over scales of pixelwise BCE between upsampled scores and mask."""
-    per_scale = [bce_on_probs(s, mask) for s in maps.s_up]
+def _scale_mean(per_scale: list):
+    """Mean of the per-scale losses, returned with the list."""
     total = per_scale[0]
     for t in per_scale[1:]:
         total = add(total, t)
     return mul(total, 1.0 / len(per_scale)), per_scale
+
+
+def msa_loss(maps: AlignmentMaps, mask: Tensor):
+    """Mean over scales of pixelwise BCE between upsampled scores and mask."""
+    return _scale_mean([bce_on_probs(s, mask) for s in maps.s_up])
 
 
 def avm_loss(maps: AlignmentMaps, mask: Tensor, eps: float = 1e-8):
@@ -201,10 +205,7 @@ def avm_loss(maps: AlignmentMaps, mask: Tensor, eps: float = 1e-8):
         p_s = div(add(s, eps), tsum(add(s, eps), axis=(1, 2, 3), keepdims=True))
         kl = tsum(mul(p_mask, sub(tlog(p_mask), tlog(p_s))), axis=(1, 2, 3))
         per_scale.append(tmean(kl))
-    total = per_scale[0]
-    for t in per_scale[1:]:
-        total = add(total, t)
-    return mul(total, 1.0 / len(per_scale)), per_scale
+    return _scale_mean(per_scale)
 
 
 def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,

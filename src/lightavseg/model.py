@@ -15,7 +15,6 @@ from .tensor import ContractError, RngState, Tensor
 @dataclass
 class ModelConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    num_classes: int = 1
     interact_stages: int = 3      # decoder interaction / alignment supervision depth
     enable_har: bool = True       # dynamic (visually gated) audio state in the encoder
     enable_agve: bool = True      # broadcast audio bias into the visual stream
@@ -38,7 +37,6 @@ class SegModel:
                                          enable_har=cfg.enable_har,
                                          enable_agve=cfg.enable_agve)
         self.decoder = FusionDecoder(cfg.backbone.stage_channels, rng, self.params,
-                                     num_classes=cfg.num_classes,
                                      interact_stages=cfg.interact_stages,
                                      enable_cmfd=cfg.enable_cmfd)
 

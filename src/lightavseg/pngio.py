@@ -89,7 +89,10 @@ def _unfilter(raw: bytes, h: int, w: int, channels: int) -> np.ndarray:
 
 
 def read_png(path) -> np.ndarray:
-    """Read an 8-bit grayscale or RGB PNG into a uint8 array."""
+    """Read an 8-bit grayscale or RGB PNG into a uint8 array.
+
+    A truncated or corrupt file is a ContractError; chunk CRCs are not checked.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:8] != _SIGNATURE:
@@ -98,12 +101,18 @@ def read_png(path) -> np.ndarray:
     width = height = None
     color_type = channels = None
     idat = b""
-    while pos < len(blob):
+    while True:
+        if pos + 12 > len(blob):
+            raise ContractError(f"{path}: truncated PNG (no IEND chunk)")
         (length,) = struct.unpack(">I", blob[pos:pos + 4])
         tag = blob[pos + 4:pos + 8]
         payload = blob[pos + 8:pos + 8 + length]
         pos += 12 + length
+        if pos > len(blob):
+            raise ContractError(f"{path}: truncated {tag!r} chunk")
         if tag == b"IHDR":
+            if length != 13:
+                raise ContractError(f"{path}: IHDR chunk of {length} bytes, expected 13")
             width, height, depth, color_type, comp, filt, interlace = struct.unpack(
                 ">IIBBBBB", payload)
             if depth != 8:
@@ -119,7 +128,13 @@ def read_png(path) -> np.ndarray:
             break
     if width is None or not idat:
         raise ContractError(f"{path}: missing IHDR or IDAT")
-    raw = zlib.decompress(idat)
+    try:
+        raw = zlib.decompress(idat)
+    except zlib.error as e:
+        raise ContractError(f"{path}: corrupt image data ({e})") from None
+    if len(raw) != height * (1 + width * channels):
+        raise ContractError(f"{path}: {len(raw)} bytes of scanlines, expected "
+                            f"{height * (1 + width * channels)} for {width}x{height}")
     flat = _unfilter(raw, height, width, channels)
     if channels == 1:
         return flat.reshape(height, width)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import struct
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,12 +44,31 @@ class NumericalError(TensorError):
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes of a binary file; a short read is a ContractError."""
-    data = f.read(n)
+    """Read exactly ``n`` bytes of a binary file; a short read is a ContractError.
+
+    At most the bytes left in the file are requested, so a corrupt length
+    field never makes ``read`` allocate the size it names.
+    """
+    data = f.read(min(n, os.fstat(f.fileno()).st_size - f.tell()))
     if len(data) != n:
         name = getattr(f, "name", "input")
         raise ContractError(f"{name}: truncated {what} (wanted {n} bytes, got {len(data)})")
     return data
+
+
+def write_array(f, arr: np.ndarray):
+    """One array record: u32 rank, u32 dims, then the data as f64 little-endian."""
+    arr = np.asarray(arr, dtype="<f8")
+    f.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+    f.write(arr.tobytes())
+
+
+def read_array(f, what: str) -> np.ndarray:
+    """Read one ``write_array`` record; ``what`` names it in a truncation error."""
+    (ndim,) = struct.unpack("<I", _read_exact(f, 4, f"rank of {what}"))
+    shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, f"shape of {what}"))
+    data = _read_exact(f, 8 * math.prod(shape), f"data of {what}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +156,6 @@ class ScopeTimer:
 
     def reset(self):
         self._seconds.clear()
-
-    def report(self) -> dict:
-        return dict(self._seconds)
 
 
 TIMER = ScopeTimer()
@@ -249,53 +267,14 @@ class Tensor:
             raise ContractError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), op="detach")
-
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def parameter(data) -> Tensor:
@@ -398,17 +377,6 @@ def sub(a, b) -> Tensor:
         _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _result(out, "sub", (a, b), bw)
-
-
-def neg(x) -> Tensor:
-    x = _coerce(x)
-    out = -x.data
-    FLOPS.add(elems=out.size)
-
-    def bw(g):
-        _accum(x, -g)
-
-    return _result(out, "neg", (x,), bw)
 
 
 def mul(a, b) -> Tensor:

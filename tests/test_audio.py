@@ -26,13 +26,19 @@ class TestFFT:
     @pytest.mark.parametrize("n", [2, 8, 64, 512])
     def test_matches_naive_dft(self, n):
         x = RngState(n).uniform((3, n), -1, 1)
-        got = audio.fft_radix2(x)
-        want = naive_dft(x)
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        got = audio.rfft_power(x, n_fft=n)
+        want = np.abs(naive_dft(x)[..., :n // 2 + 1]) ** 2
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-9)
 
-    def test_rejects_non_power_of_two(self):
+    def test_short_frames_zero_padded(self):
+        x = RngState(3).uniform((2, 5, 400), -1, 1)
+        padded = np.concatenate([x, np.zeros((2, 5, 112))], axis=-1)
+        want = np.abs(naive_dft(padded)[..., :257]) ** 2
+        np.testing.assert_allclose(audio.rfft_power(x), want, rtol=1e-10, atol=1e-9)
+
+    def test_rejects_frame_longer_than_fft(self):
         with pytest.raises(ContractError):
-            audio.fft_radix2(np.zeros(300))
+            audio.rfft_power(np.zeros((1, 513)))
 
     def test_parseval_sine_energy_concentrated(self):
         # >90% of a pure sine's power inside +-2 bins of the tone frequency
@@ -193,6 +199,16 @@ class TestIO:
         back = read_wav(p)
         np.testing.assert_allclose(back.samples, [(0.5 + 0.1) / 2, (-0.5 + 0.1) / 2],
                                    atol=1e-4)
+
+    def test_wav_truncated_at_every_offset(self, tmp_path):
+        p = tmp_path / "t.wav"
+        write_wav(p, synth_tone(620.0, 0.01, 0.7))
+        full = p.read_bytes()
+        cut = tmp_path / "cut.wav"
+        for n in range(len(full)):
+            cut.write_bytes(full[:n])
+            with pytest.raises(ContractError):
+                read_wav(cut)
 
     def test_lmel_round_trip(self, tmp_path):
         spec = log_mel(synth_tone(900.0, 2.0, 0.5))

@@ -1,6 +1,7 @@
 """CLI surface: subcommand contracts, file outputs, exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ class TestTrainCli:
         ("stage_channels=4,x,6,7", None, "stage_channels"),
         ("snr_db=abc", None, "snr_db"),
         ("steps=1", "abc", "seed"),
+        ("warp_speed=9", None, "warp_speed"),
     ])
     def test_bad_config_value_is_contract_error(self, tmp_path, monkeypatch, capsys,
                                                 line, env_seed, key):
@@ -120,6 +122,32 @@ class TestEvalCli:
         assert main(["eval", "--ckpt", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_eval_checkpoint_with_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        data = (tmp_path / "run" / "ckpt_final.bin").read_bytes()
+        (cfg_len,) = struct.unpack("<I", data[8:12])
+        cfg = json.loads(data[12:12 + cfg_len])
+        blob = json.dumps({**cfg, "warp_speed": 9}, sort_keys=True).encode()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                        + data[12 + cfg_len:])
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "unknown config key 'warp_speed'" in captured.err and captured.out == ""
+
+    def test_eval_data_with_truncated_frame_fails_cleanly(self, tmp_path, capsys):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        assert main(["synth-data", "--out", str(tmp_path / "d"), "--scenes", "2",
+                     "--hw", "32"]) == 0
+        frame = tmp_path / "d" / "scene_00001" / "frames" / "00000.png"
+        frame.write_bytes(frame.read_bytes()[:-40])  # cut inside IDAT
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
+                     "--data", str(tmp_path / "d")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
     def test_eval_dump_alignment_writes_per_scene_maps(self, tmp_path):
         assert main(toy_train_args(tmp_path / "run")) == 0
         ckpt = tmp_path / "run" / "ckpt_final.bin"
@@ -155,6 +183,8 @@ class TestBenchCli:
         names = {c["name"] for c in report["components"]}
         assert names == {"visual_backbone", "audio_embed", "encoder_fusion",
                          "decoder_fusion", "seg_head"}
+        assert report["unattributed_ms"] >= 0
+        assert report["total_wall_ms"] >= max(c["wall_ms"] for c in report["components"])
 
 
 class TestOtherCommands:
@@ -207,6 +237,18 @@ class TestOtherCommands:
         p = tmp_path / "t.tnsr"
         write_tensor_file(p, arr)
         np.testing.assert_array_equal(read_tensor_file(p), arr)
+
+    def test_tensor_file_layout(self, tmp_path):
+        p = tmp_path / "t.tnsr"
+        write_tensor_file(p, np.array([[1.0, -2.5, 3.0]]))
+        assert p.read_bytes() == (b"TNSR" + struct.pack("<III", 2, 1, 3)
+                                  + struct.pack("<3d", 1.0, -2.5, 3.0))
+
+    def test_tensor_file_corrupt_dims_fail_cleanly(self, tmp_path):
+        p = tmp_path / "t.tnsr"
+        p.write_bytes(b"TNSR" + struct.pack("<4I", 3, *[0xFFFFFFFF] * 3) + b"\0" * 16)
+        with pytest.raises(ContractError, match="truncated data"):
+            read_tensor_file(p)
 
     def test_tensor_file_truncated_at_every_offset(self, tmp_path):
         p = tmp_path / "t.tnsr"

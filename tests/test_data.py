@@ -1,5 +1,8 @@
 """Synthetic scenes: audio-necessity pairing, determinism, disk round trips."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from lightavseg.data import (
     DatasetSpec, LoadError, Scene, generate_dataset, generate_scene,
     load_avsbench_layout, materialize_dataset, save_scene,
 )
-from lightavseg.pngio import read_png, write_png
+from lightavseg.pngio import _SIGNATURE, _chunk, read_png, write_png
 from lightavseg.tensor import ContractError, RngState
 
 
@@ -32,6 +35,29 @@ class TestPng:
     def test_rejects_non_png(self, tmp_path):
         p = tmp_path / "fake.png"
         p.write_bytes(b"not a png at all")
+        with pytest.raises(ContractError):
+            read_png(p)
+
+    def test_truncated_at_every_offset(self, tmp_path):
+        p = tmp_path / "c.png"
+        write_png(p, RngState(3)._next().integers(0, 256, size=(5, 7, 3)).astype(np.uint8))
+        full = p.read_bytes()
+        cut = tmp_path / "cut.png"
+        for n in range(len(full)):
+            cut.write_bytes(full[:n])
+            with pytest.raises(ContractError):
+                read_png(cut)
+
+    IHDR_3X2_GRAY = _chunk(b"IHDR", struct.pack(">IIBBBBB", 3, 2, 8, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("chunks", [
+        IHDR_3X2_GRAY + _chunk(b"IDAT", b"not zlib data"),
+        IHDR_3X2_GRAY + _chunk(b"IDAT", zlib.compress(b"\x00" * 7)),
+        _chunk(b"IHDR", b"\x00" * 12) + _chunk(b"IDAT", zlib.compress(b"\x00" * 8)),
+    ], ids=["not-zlib", "wrong-size", "short-ihdr"])
+    def test_corrupt_file(self, tmp_path, chunks):
+        p = tmp_path / "bad.png"
+        p.write_bytes(_SIGNATURE + chunks + _chunk(b"IEND", b""))
         with pytest.raises(ContractError):
             read_png(p)
 

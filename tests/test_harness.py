@@ -87,7 +87,7 @@ class TestConfig:
         **{name: st.booleans() for name in (
             "freeze_audio_backbone", "enable_har", "enable_agve", "enable_cmfd")},
         **{name: st.integers(-2**40, 2**40) for name in (
-            "seed", "audio_channels", "stem_channels", "num_classes",
+            "seed", "audio_channels", "stem_channels",
             "interact_stages", "frames_per_scene")},
         **{name: st.integers(low, 2**40) for name, low in (
             ("batch_size", 1), ("steps", 0), ("n_scenes", 1), ("hw", 1),
