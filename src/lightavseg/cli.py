@@ -146,28 +146,24 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     from .harness import evaluate, load_checkpoint, model_from_checkpoint
     from .losses import alignment_maps
-    from .audio import log_mel
-    from .tensor import no_grad
 
     ckpt = load_checkpoint(args.ckpt)
     model, cfg = model_from_checkpoint(ckpt)
     scenes = _load_scenes(cfg, args.data)
-    report = evaluate(model, scenes, mute_audio=args.mute_audio,
-                      threshold=args.threshold)
+    dump_scene = None
     if args.dump_alignment:
         dump_dir = Path(args.dump_alignment)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for i, scene in enumerate(scenes):
-            mel = log_mel(scene.waveform).windows
-            with no_grad():
-                seg, _ = model.forward(scene.frames, mel,
-                                       mute_audio=args.mute_audio)
-                maps = alignment_maps(seg.per_stage_features, seg.audio_states,
-                                      cfg.tau, scene.frames.shape[2],
-                                      scene.frames.shape[3])
+
+        def dump_scene(i, scene, seg):
+            maps = alignment_maps(seg.per_stage_features, seg.audio_states, cfg.tau,
+                                  scene.frames.shape[2], scene.frames.shape[3])
             for s_idx, m in enumerate(maps.s_up):
                 write_tensor_file(dump_dir / f"scene{i:04d}_scale{s_idx}.tnsr",
                                   m.data)
+
+    report = evaluate(model, scenes, mute_audio=args.mute_audio,
+                      threshold=args.threshold, on_scene=dump_scene)
     line = json.dumps({k: v for k, v in report.items() if k != "per_scene"},
                       sort_keys=True)
     print(line)

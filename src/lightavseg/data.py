@@ -195,8 +195,13 @@ def load_avsbench_layout(root):
         if not wav_path.exists():
             raise LoadError(f"{vid}: missing audio.wav")
 
-        frames = np.stack([read_png(p).astype(np.float64).transpose(2, 0, 1) / 255.0
-                           for p in frame_files])
+        frame_arrays = []
+        for p in frame_files:
+            f = read_png(p)
+            if f.ndim != 3:
+                raise LoadError(f"{vid}: frame {p.name} is not RGB")
+            frame_arrays.append(f.astype(np.float64).transpose(2, 0, 1) / 255.0)
+        frames = np.stack(frame_arrays)
         mask_arrays = []
         for p in mask_files:
             m = read_png(p)

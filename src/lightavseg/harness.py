@@ -376,15 +376,22 @@ def train(cfg: TrainConfig, scenes: list | None = None,
 
 
 def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
-             threshold: float = 0.5) -> dict:
-    """Mean IoU / F-score over scenes; per-scene table included."""
+             threshold: float = 0.5, on_scene=None) -> dict:
+    """Mean IoU / F-score over scenes; per-scene table included.
+
+    ``on_scene(i, scene, seg)``, if given, is called inside ``no_grad`` with
+    each scene's forward output, so a caller can read more from the one
+    forward instead of running the model again.
+    """
     if not scenes:
         raise ContractError("evaluation set is empty")
     per_scene = []
-    for scene in scenes:
+    for i, scene in enumerate(scenes):
         mel = log_mel(scene.waveform).windows
         with no_grad():
             seg, _ = model.forward(scene.frames, mel, mute_audio=mute_audio)
+            if on_scene is not None:
+                on_scene(i, scene, seg)
         probs = _sigmoid_data(seg.logits.data)
         pred = probs > threshold
         gt = scene.masks.data > 0.5

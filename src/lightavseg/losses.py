@@ -106,7 +106,7 @@ def dice_loss(logits: Tensor, mask: Tensor, smooth: float = 1.0) -> Tensor:
     FLOPS.add(elems=5 * x.size + 7 * batch + 1)
 
     def bw(g):
-        _accum(logits, (frac - 2.0 * m) * (g / (batch * denom)) * (p * (1.0 - p)))
+        _accum(logits, (frac - 2.0 * m) * (g / (batch * denom)) * (p * (1.0 - p)), own=True)
 
     return _result(out, "dice_loss", (logits,), bw)
 
@@ -122,7 +122,7 @@ def bce_loss(logits: Tensor, mask: Tensor) -> Tensor:
     FLOPS.add(elems=4 * n + 1)
 
     def bw(g):
-        _accum(logits, (_sigmoid_data(x) - m) * (g / n))
+        _accum(logits, (_sigmoid_data(x) - m) * (g / n), own=True)
 
     return _result(out, "bce_loss", (logits,), bw)
 
@@ -147,7 +147,7 @@ def bce_on_probs(probs: Tensor, mask: Tensor) -> Tensor:
         gp -= m / p
         gp *= g / n
         gp[(x <= lo) | (x >= hi)] = 0.0
-        _accum(probs, gp)
+        _accum(probs, gp, own=True)
 
     return _result(out, "bce_on_probs", (probs,), bw)
 

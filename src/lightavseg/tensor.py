@@ -2,7 +2,13 @@
 
 Every tensor stores a contiguous row-major float64 array. Operations build an
 eager computation graph (each result links to its parents and carries a
-backward closure); ``backward`` walks the graph in reverse topological order.
+backward closure); ``backward`` walks the graph in reverse topological order
+and consumes it as it goes: once a node's closure has run, the node drops its
+gradient, its closure and its parent links, so intermediate gradients and the
+activations only the graph holds are freed mid-walk. Leaves keep their grad.
+A consumed graph cannot be walked again. A backward closure passes each
+gradient to ``_accum``, which stores an array the op has just created as is
+and copies anything that may be a view or may be handed to a second parent.
 Non-finite values raise immediately, so NaN/Inf never propagate silently.
 
 FLOP accounting convention (forward pass only):
@@ -229,7 +235,9 @@ class Tensor:
     """N-dimensional float64 array with optional gradient slot.
 
     ``op`` names the producing operation and ``_parents`` link the computation
-    graph; leaves have no parents. All values are validated finite on creation.
+    graph; leaves have no parents and no backward closure, and only leaves keep
+    ``grad`` after ``backward``, which consumes every other node it walks.
+    All values are validated finite on creation.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
@@ -293,11 +301,18 @@ def _result(data, op: str, parents, backward) -> Tensor:
     return Tensor(data, op=op)
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _accum(t: Tensor, g: np.ndarray, own: bool = False):
+    """Add ``g`` into ``t.grad``.
+
+    ``own=True`` hands over an array the op has just created and nothing else
+    holds, which then becomes ``t.grad`` as is. Anything else (a view, the
+    incoming gradient itself, an array also given to another parent) is copied
+    before it is stored, because ``t.grad`` is accumulated in place.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # own copy: g may be a view
+        t.grad = g if own else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -340,15 +355,35 @@ def topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _consumed(g):
+    """The backward closure of a node that an earlier ``backward`` consumed."""
+    raise ContractError("backward through a graph that an earlier backward consumed; "
+                        "run the forward again to build a new graph")
+
+
 def backward(loss: Tensor):
-    """Reverse-mode accumulation of d(loss)/d(leaf) into every leaf's grad."""
+    """Reverse-mode accumulation of d(loss)/d(leaf) into every leaf's grad.
+
+    The walk consumes the graph: each non-leaf node is taken off the order list
+    and, once its closure has run, keeps no grad, no parents and a closure that
+    raises ContractError. A second backward through any consumed node (the same
+    loss, or a new graph built on top of it) raises before any grad is written.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = topo_order(loss)
+    if any(t._backward is _consumed for t in order):
+        _consumed(None)
     loss.grad = np.ones_like(loss.data)
-    for t in reversed(order):
-        if t._backward is not None and t.grad is not None:
-            t._backward(t.grad)
+    while order:
+        t = order.pop()
+        bw = t._backward
+        if bw is None:
+            continue  # a leaf keeps its grad
+        g = t.grad
+        t.grad, t._backward, t._parents = None, _consumed, ()
+        if g is not None:
+            bw(g)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +409,7 @@ def sub(a, b) -> Tensor:
 
     def bw(g):
         _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(b, _unbroadcast(-g, b.data.shape), own=True)
 
     return _result(out, "sub", (a, b), bw)
 
@@ -386,8 +421,8 @@ def mul(a, b) -> Tensor:
     FLOPS.add(elems=out.size)
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(a, _unbroadcast(g * b.data, a.data.shape), own=True)
+        _accum(b, _unbroadcast(g * a.data, b.data.shape), own=True)
 
     return _result(out, "mul", (a, b), bw)
 
@@ -398,8 +433,8 @@ def div(a, b) -> Tensor:
     FLOPS.add(elems=out.size)
 
     def bw(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        _accum(a, _unbroadcast(g / b.data, a.data.shape), own=True)
+        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), own=True)
 
     return _result(out, "div", (a, b), bw)
 
@@ -445,7 +480,7 @@ def relu(x) -> Tensor:
     FLOPS.add(elems=out.size)
 
     def bw(g):
-        _accum(x, g * (x.data > 0.0))
+        _accum(x, g * (x.data > 0.0), own=True)
 
     return _result(out, "relu", (x,), bw)
 
@@ -458,7 +493,7 @@ def hsigmoid(x) -> Tensor:
 
     def bw(g):
         mask = (x.data > -3.0) & (x.data < 3.0)
-        _accum(x, g * mask / 6.0)
+        _accum(x, g * mask / 6.0, own=True)
 
     return _result(out, "hsigmoid", (x,), bw)
 
@@ -478,7 +513,7 @@ def sigmoid(x) -> Tensor:
     FLOPS.add(elems=out.size)
 
     def bw(g):
-        _accum(x, g * out * (1.0 - out))
+        _accum(x, g * out * (1.0 - out), own=True)
 
     return _result(out, "sigmoid", (x,), bw)
 
@@ -490,7 +525,7 @@ def softplus(x) -> Tensor:
     FLOPS.add(elems=out.size)
 
     def bw(g):
-        _accum(x, g * _sigmoid_data(x.data))
+        _accum(x, g * _sigmoid_data(x.data), own=True)
 
     return _result(out, "softplus", (x,), bw)
 
@@ -502,7 +537,7 @@ def tlog(x) -> Tensor:
     FLOPS.add(elems=out.size)
 
     def bw(g):
-        _accum(x, g / x.data)
+        _accum(x, g / x.data, own=True)
 
     return _result(out, "log", (x,), bw)
 
@@ -514,7 +549,7 @@ def tsqrt(x) -> Tensor:
 
     def bw(g):
         safe = np.where(out > 0.0, out, 1.0)
-        _accum(x, np.where(out > 0.0, g / (2.0 * safe), 0.0))
+        _accum(x, np.where(out > 0.0, g / (2.0 * safe), 0.0), own=True)
 
     return _result(out, "sqrt", (x,), bw)
 
@@ -525,7 +560,7 @@ def clamp(x, lo: float, hi: float) -> Tensor:
     FLOPS.add(elems=out.size)
 
     def bw(g):
-        _accum(x, g * ((x.data > lo) & (x.data < hi)))
+        _accum(x, g * ((x.data > lo) & (x.data < hi)), own=True)
 
     return _result(out, "clamp", (x,), bw)
 
@@ -539,7 +574,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
     def bw(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
-        _accum(x, out * (g - dot))
+        _accum(x, out * (g - dot), own=True)
 
     return _result(out, "softmax", (x,), bw)
 
@@ -629,11 +664,11 @@ def pointwise_linear(x, weight, bias) -> Tensor:
     def bw(g):
         gf = g.reshape(B, Co, H * W)
         if x.requires_grad:
-            _accum(x, (weight.data.T @ gf).reshape(B, C, H, W))
+            _accum(x, (weight.data.T @ gf).reshape(B, C, H, W), own=True)
         if weight.requires_grad:
             # channel-major (C, B*H*W) views turn the batch sum into one GEMM
-            _accum(weight, _channel_major(gf) @ _channel_major(xf).T)
-        _accum(bias, gf.sum(axis=(0, 2)))
+            _accum(weight, _channel_major(gf) @ _channel_major(xf).T, own=True)
+        _accum(bias, gf.sum(axis=(0, 2)), own=True)
 
     return _result(out.reshape(B, Co, H, W), "pointwise_linear", (x, weight, bias), bw)
 
@@ -691,8 +726,8 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
         if weight.requires_grad:
             # rebuilt, not kept from forward: no patch matrix outlives its op's forward
             cols = _im2col(x.data, K, stride, padding, Ho, Wo)
-            _accum(weight, (gm @ cols.T).reshape(weight.data.shape))
-        _accum(bias, gm.sum(axis=1))
+            _accum(weight, (gm @ cols.T).reshape(weight.data.shape), own=True)
+        _accum(bias, gm.sum(axis=1), own=True)
         if x.requires_grad:
             gcols = (wm.T @ gm).reshape(C, K, K, B, Ho, Wo)
             gxp = np.zeros((C, B, Hp, Wp))
@@ -719,8 +754,8 @@ def matmul(a, b) -> Tensor:
     FLOPS.add(madds=2 * batch * m * n * k)
 
     def bw(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+        _accum(a, g @ np.swapaxes(b.data, -1, -2), own=True)
+        _accum(b, np.swapaxes(a.data, -1, -2) @ g, own=True)
 
     return _result(out, "matmul", (a, b), bw)
 
@@ -745,7 +780,7 @@ def global_max_pool(x) -> Tensor:
     def bw(g):
         gx = np.zeros((B, C, H * W))
         np.put_along_axis(gx, idx[:, :, None], g.reshape(B, C, 1), axis=2)
-        _accum(x, gx.reshape(B, C, H, W))
+        _accum(x, gx.reshape(B, C, H, W), own=True)
 
     return _result(out, "global_max_pool", (x,), bw)
 
@@ -763,7 +798,7 @@ def broadcast_add(x, g) -> Tensor:
 
     def bw(grad):
         _accum(x, grad)
-        _accum(g, grad.sum(axis=(2, 3), keepdims=True))
+        _accum(g, grad.sum(axis=(2, 3), keepdims=True), own=True)
 
     return _result(out, "broadcast_add", (x, g), bw)
 
@@ -811,7 +846,7 @@ def bilinear_upsample(x, H: int, W: int) -> Tensor:
     FLOPS.add(elems=4 * B * C * H * W)
 
     def bw(g):
-        _accum(x, my.T @ (g @ mx))
+        _accum(x, my.T @ (g @ mx), own=True)
 
     return _result(out, "bilinear_upsample", (x,), bw)
 

@@ -148,6 +148,20 @@ class TestEvalCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
 
+    def test_eval_data_with_grayscale_frame_fails_cleanly(self, tmp_path, capsys):
+        from lightavseg.pngio import write_png
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        assert main(["synth-data", "--out", str(tmp_path / "d"), "--scenes", "2",
+                     "--hw", "32"]) == 0
+        write_png(tmp_path / "d" / "scene_00000" / "frames" / "00000.png",
+                  np.zeros((32, 32), dtype=np.uint8))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
+                     "--data", str(tmp_path / "d")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "not RGB" in captured.err
+        assert captured.out == ""
+
     def test_eval_dump_alignment_writes_per_scene_maps(self, tmp_path):
         assert main(toy_train_args(tmp_path / "run")) == 0
         ckpt = tmp_path / "run" / "ckpt_final.bin"
@@ -159,6 +173,23 @@ class TestEvalCli:
         arr = read_tensor_file(files[0])
         assert arr.shape == (1, 1, 32, 32)
         assert np.all(arr > 0.0) and np.all(arr < 1.0)
+
+    def test_eval_dump_alignment_runs_one_forward_per_scene(self, tmp_path, monkeypatch):
+        from lightavseg.model import SegModel
+        assert main(["train", "--out", str(tmp_path / "run"), "--steps", "0",
+                     "--scenes", "2", "--hw", "32"]) == 0
+        calls = []
+        forward = SegModel.forward
+
+        def counting_forward(self, *args, **kwargs):
+            calls.append(1)
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(SegModel, "forward", counting_forward)
+        assert main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
+                     "--dump-alignment", str(tmp_path / "align")]) == 0
+        assert len(calls) == 2
+        assert len(list((tmp_path / "align").glob("scene*_scale*.tnsr"))) == 2 * 3
 
 
 class TestBenchCli:

@@ -175,6 +175,15 @@ class TestLayout:
             list(load_avsbench_layout(tmp_path))
         assert victim.name in str(e.value)
 
+    def test_grayscale_frame_names_video(self, tmp_path):
+        spec = DatasetSpec(n_scenes=2, hw=32, seed=8)
+        materialize_dataset(spec, tmp_path)
+        victim = sorted(tmp_path.iterdir())[1]
+        write_png(victim / "frames" / "00000.png", np.zeros((32, 32), dtype=np.uint8))
+        with pytest.raises(LoadError, match="not RGB") as e:
+            list(load_avsbench_layout(tmp_path))
+        assert victim.name in str(e.value) and "00000.png" in str(e.value)
+
     def test_window_count_matches_frames(self, tmp_path):
         spec = DatasetSpec(n_scenes=2, hw=32, seed=10, frames_per_scene=2)
         materialize_dataset(spec, tmp_path)

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lightavseg.data import generate_dataset
 from lightavseg.harness import (
@@ -132,6 +133,19 @@ class TestConfig:
             config_from_mapping({key: str(value)})
 
 
+@st.composite
+def ckpt_entries(draw):
+    """Named (param, adam m, adam v) triples of any finite float64 bits."""
+    names = draw(st.lists(st.text(st.characters(exclude_characters="/"), max_size=12),
+                          min_size=1, max_size=4, unique=True))
+    out = {}
+    for name in names:
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=3))
+        out[name] = tuple(draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False))) for _ in range(3))
+    return out
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical_forward(self, tmp_path):
         cfg = toy_config()
@@ -187,6 +201,32 @@ class TestCheckpoint:
             cut.write_bytes(full[:n])
             with pytest.raises(ContractError):
                 load_checkpoint(cut)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.fixed_dictionaries(TestConfig.FIELD_VALUES),
+           entries=ckpt_entries(),
+           seed=st.integers(-2**63, 2**63 - 1), counter=st.integers(0, 2**64 - 1),
+           step=st.integers(0, 2**64 - 1), adam_t=st.integers(0, 2**64 - 1))
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, values, entries,
+                                         seed, counter, step, adam_t):
+        cfg = TrainConfig(**values)
+        params = {n: parameter(p) for n, (p, _, _) in entries.items()}
+        state = AdamWState(m={n: m for n, (_, m, _) in entries.items()},
+                           v={n: v for n, (_, _, v) in entries.items()}, t=adam_t)
+        path = tmp_path_factory.mktemp("ckpt") / "ck.bin"
+        save_checkpoint(path, cfg, params, state, RngState(seed, counter), step)
+        ckpt = load_checkpoint(path)
+
+        def same_bits(got: dict, want: dict):
+            assert got.keys() == want.keys()
+            for n, arr in want.items():
+                assert got[n].shape == arr.shape and got[n].tobytes() == arr.tobytes()
+
+        same_bits(ckpt.params, {n: p.data for n, p in params.items()})
+        same_bits(ckpt.adam_m, state.m)
+        same_bits(ckpt.adam_v, state.v)
+        assert (ckpt.step, ckpt.adam_t, ckpt.rng) == (step, adam_t, RngState(seed, counter))
+        assert dataclasses.asdict(config_from_mapping(ckpt.config)) == dataclasses.asdict(cfg)
 
     # the config JSON starts at byte 12, after magic, version and its length
     @pytest.mark.parametrize("corrupt", [

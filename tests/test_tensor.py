@@ -1,5 +1,7 @@
 """Tensor core: op semantics, gradients vs central differences, FLOP counters."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,115 @@ class TestBackward:
         with pytest.raises(NumericalError) as e:
             T.tlog(Tensor([0.0]))
         assert "log" in str(e.value)
+
+
+class TestGraphConsumption:
+    """``backward`` frees the graph as it walks it; leaves keep their grad."""
+
+    def test_non_leaf_nodes_keep_no_grad_and_no_parents(self):
+        x, w = parameter(RngState(1).uniform((2, 3))), parameter(RngState(2).uniform((3,)))
+        loss = T.tsum(T.relu(T.mul(T.add(x, w), T.sigmoid(x))))
+        order = topo_order(loss)
+        inner = [t for t in order if t._parents]
+        assert len(inner) == 5
+        backward(loss)
+        for t in inner:
+            assert t.grad is None and t._parents == ()
+        assert x.grad.shape == (2, 3) and w.grad.shape == (3,)
+
+    def test_intermediate_arrays_freed_during_the_walk(self):
+        x = parameter(RngState(3).uniform((4, 4), 0.5, 1.5))
+        seen = []
+
+        def probe(t):
+            def bw(g):
+                seen.append(mid_data())
+                T._accum(t, g)
+
+            return T._result(t.data.copy(), "probe", (t,), bw)
+
+        mid = T.relu(probe(x))  # after ``del mid`` only its user, the mul node, holds it
+        mid_data = weakref.ref(mid.data)
+        loss = T.tsum(T.mul(mid, 2.0))
+        del mid
+        assert mid_data() is not None
+        backward(loss)
+        # the users of ``mid`` were consumed before the bottom op ran
+        assert seen == [None] and mid_data() is None
+        np.testing.assert_array_equal(x.grad, np.full((4, 4), 2.0))
+
+    def test_second_backward_of_the_same_loss_raises(self):
+        x = parameter(np.array([1.0, 2.0]))
+        loss = T.tsum(T.mul(x, x))
+        backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_graph_on_top_of_a_consumed_node_raises_before_any_grad(self):
+        x, w = parameter(np.array([1.0, 2.0])), parameter(np.array([3.0]))
+        h = T.mul(x, x)
+        backward(T.tsum(h))
+        x_grad = x.grad.copy()
+        with pytest.raises(ContractError, match="consumed"):
+            backward(T.tsum(T.mul(h, w)))
+        np.testing.assert_array_equal(x.grad, x_grad)
+        assert w.grad is None
+        # leaves are never consumed: a new forward from them walks again
+        x.zero_grad()
+        backward(T.tsum(T.mul(x, w)))
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_accum_stores_an_owned_array_and_copies_otherwise(self):
+        owned, shared = np.ones(3), np.ones(3)
+        a, b = parameter(np.zeros(3)), parameter(np.zeros(3))
+        T._accum(a, owned, own=True)
+        T._accum(b, shared)
+        assert a.grad is owned and b.grad is not shared
+        T._accum(a, shared)
+        np.testing.assert_array_equal(owned, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(shared, [1.0, 1.0, 1.0])
+
+
+def _fan_out(case):
+    """(loss, leaves, expected leaf grads) for an op that hands on its gradient."""
+    rng = RngState(11)
+    w = rng.uniform((2, 5, 3, 3), -1, 1)
+    a = parameter(rng.uniform((2, 5, 3, 3)))
+    if case == "add-self":
+        return T.tsum(T.mul(T.add(a, a), Tensor(w))), [a], [2 * w]
+    if case == "concat":
+        a, b = parameter(rng.uniform((2, 2, 3, 3))), parameter(rng.uniform((2, 3, 3, 3)))
+        loss = T.tsum(T.mul(T.concat([a, b], axis=1), Tensor(w)))
+        return loss, [a, b], [w[:, :2], w[:, 2:]]
+    if case == "reshape":
+        flat = parameter(rng.uniform((90,)))
+        y = T.add(T.reshape(flat, (2, 5, 3, 3)), a)
+        return T.tsum(T.mul(y, Tensor(w))), [flat, a], [w.reshape(-1), w]
+    if case == "broadcast_add":
+        g = parameter(rng.uniform((2, 5, 1, 1)))
+        y = T.add(T.broadcast_add(a, g), a)
+        return (T.tsum(T.mul(y, Tensor(w))), [a, g],
+                [2 * w, w.sum(axis=(2, 3), keepdims=True)])
+    b = parameter(rng.uniform((2, 5, 3, 3)))
+    op = {"add": T.add, "sub": T.sub}[case]
+    return T.tsum(T.mul(op(a, b), Tensor(w))), [a, b], [w, w if case == "add" else -w]
+
+
+@pytest.mark.parametrize("case", ["add-self", "add", "sub", "broadcast_add",
+                                  "reshape", "concat"])
+def test_fan_out_leaf_grads_are_correct_and_not_aliased(case):
+    loss, leaves, want = _fan_out(case)
+    backward(loss)
+    for leaf, expected in zip(leaves, want):
+        np.testing.assert_allclose(leaf.grad, expected, rtol=1e-15, atol=0)
+        assert leaf.grad.flags.writeable
+    for i, p in enumerate(leaves):
+        for q in leaves[i + 1:]:
+            assert p.grad is not q.grad and not np.may_share_memory(p.grad, q.grad)
+            before = q.grad.copy()
+            p.grad += 1.0
+            np.testing.assert_array_equal(q.grad, before)
 
 
 # ---------------------------------------------------------------------------
