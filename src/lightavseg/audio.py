@@ -10,13 +10,12 @@ mel filterbank spanning 125-7500 Hz, then log-compressed with a 1e-10 floor.
 from __future__ import annotations
 
 import math
-import struct
 import wave
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, DimensionError, RngState, Tensor, _read_exact
+from .tensor import ContractError, DimensionError, RngState, Tensor
 
 SAMPLE_RATE = 16000
 WIN_SAMPLES = 400      # 25 ms
@@ -227,26 +226,3 @@ def write_wav(path, w: Waveform):
         f.setsampwidth(2)
         f.setframerate(w.sample_rate_hz)
         f.writeframes(pcm.tobytes())
-
-
-LMEL_MAGIC = b"LMEL"
-
-
-def write_lmel(path, spec: Spectrogram):
-    """Flat binary spectrogram: magic 'LMEL', u32 T, then T*96*64 LE f32."""
-    with open(path, "wb") as f:
-        f.write(LMEL_MAGIC)
-        f.write(struct.pack("<I", spec.num_windows))
-        f.write(spec.windows.data.astype("<f4").tobytes())
-
-
-def read_lmel(path) -> Spectrogram:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != LMEL_MAGIC:
-            raise ContractError(f"{path}: bad magic {magic!r}, expected {LMEL_MAGIC!r}")
-        (t,) = struct.unpack("<I", _read_exact(f, 4, "LMEL window count"))
-        data = np.frombuffer(_read_exact(f, t * FRAMES_PER_WINDOW * N_MELS * 4,
-                                         "LMEL payload"), dtype="<f4")
-    return Spectrogram(Tensor(data.astype(np.float64)
-                              .reshape(t, FRAMES_PER_WINDOW, N_MELS)))

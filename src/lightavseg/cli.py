@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=float, default=None)
         p.add_argument("--weight-decay", type=float, default=None)
         p.add_argument("--loss-variant", type=str, default=None,
-                       choices=["seg", "seg+msa", "seg+avm"])
+                       choices=["seg", "seg+msa"])
         p.add_argument("--scenes", type=int, default=None, dest="n_scenes")
         p.add_argument("--hw", type=int, default=None)
         p.add_argument("--snr-db", type=float, default=None)

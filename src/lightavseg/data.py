@@ -39,18 +39,17 @@ class DatasetSpec:
     n_scenes: int = 64
     hw: int = 64
     frames_per_scene: int = 1
-    shapes_per_scene: int = 2
     freq_table: dict = field(default_factory=lambda: {0: 800.0, 1: 2400.0})
     snr_db: float | None = None
     seed: int = 0
     amplitude: float = 0.5
 
     def __post_init__(self):
+        if set(self.freq_table) != {0, 1}:
+            raise ContractError("frequency table keys must be the shape ids 0 and 1")
         freqs = list(self.freq_table.values())
         if len(set(freqs)) != len(freqs):
             raise ContractError("frequency table must be injective over shape ids")
-        if self.shapes_per_scene > len(self.freq_table):
-            raise ContractError("need one tone frequency per shape")
 
 
 @dataclass
@@ -86,8 +85,6 @@ def generate_scene(spec: DatasetSpec, index: int) -> Scene:
     if not 0 <= index < spec.n_scenes:
         raise ContractError(f"scene index {index} is outside [0, {spec.n_scenes})")
     pair, sounding = divmod(index, 2)
-    if spec.shapes_per_scene == 1:
-        pair, sounding = index, 0
     rng = _layout_rng(spec.seed, pair)
     hw = spec.hw
 
@@ -98,24 +95,19 @@ def generate_scene(spec: DatasetSpec, index: int) -> Scene:
 
     # split-axis placement guarantees the two footprints never touch
     margin = half + 1
+    split_on_y = int(rng.integers(0, 2)) == 0
+    lo_hi = hw // 2 - half - 1
+    hi_lo = hw // 2 + half + 1
+    if margin >= lo_hi:
+        raise ContractError(
+            f"shapes of half-extent {half} do not fit a {hw}x{hw} grid twice")
     footprints = []
-    if spec.shapes_per_scene == 1:
-        cy = int(rng.integers(margin, hw - margin))
-        cx = int(rng.integers(margin, hw - margin))
+    for side in (0, 1):
+        split = int(rng.integers(margin, lo_hi)) if side == 0 else \
+            int(rng.integers(hi_lo, hw - margin))
+        free = int(rng.integers(margin, hw - margin))
+        cy, cx = (split, free) if split_on_y else (free, split)
         footprints.append((_shape_footprint(kind, cy, cx, half, hw), (cy, cx)))
-    else:
-        split_on_y = int(rng.integers(0, 2)) == 0
-        lo_hi = hw // 2 - half - 1
-        hi_lo = hw // 2 + half + 1
-        if margin >= lo_hi:
-            raise ContractError(
-                f"shapes of half-extent {half} do not fit a {hw}x{hw} grid twice")
-        for side in (0, 1):
-            split = int(rng.integers(margin, lo_hi)) if side == 0 else \
-                int(rng.integers(hi_lo, hw - margin))
-            free = int(rng.integers(margin, hw - margin))
-            cy, cx = (split, free) if split_on_y else (free, split)
-            footprints.append((_shape_footprint(kind, cy, cx, half, hw), (cy, cx)))
 
     for fp, _ in footprints:
         image[:, fp] = color[:, None]
@@ -174,10 +166,17 @@ def materialize_dataset(spec: DatasetSpec, root) -> list:
     return dirs
 
 
+def _check_size(vid: str, what: str, path: Path, arr: np.ndarray, size: tuple):
+    if arr.shape[:2] != size:
+        raise LoadError(f"{vid}: {what} {path.name} is {arr.shape[0]}x{arr.shape[1]} "
+                        f"(HxW) but the clip's first frame is {size[0]}x{size[1]}")
+
+
 def load_avsbench_layout(root):
     """Lazily yield Scenes from the documented directory layout.
 
-    A root that is not a directory raises LoadError on the first ``next``.
+    A root that is not a directory raises LoadError on the first ``next``, as
+    does a clip whose frames or masks differ in size from its first frame.
     """
     root = Path(root)
     if not root.is_dir():
@@ -195,11 +194,13 @@ def load_avsbench_layout(root):
         if not wav_path.exists():
             raise LoadError(f"{vid}: missing audio.wav")
 
-        frame_arrays = []
+        frame_arrays, size = [], None
         for p in frame_files:
             f = read_png(p)
             if f.ndim != 3:
                 raise LoadError(f"{vid}: frame {p.name} is not RGB")
+            size = size or f.shape[:2]
+            _check_size(vid, "frame", p, f, size)
             frame_arrays.append(f.astype(np.float64).transpose(2, 0, 1) / 255.0)
         frames = np.stack(frame_arrays)
         mask_arrays = []
@@ -207,6 +208,7 @@ def load_avsbench_layout(root):
             m = read_png(p)
             if m.ndim != 2:
                 raise LoadError(f"{vid}: mask {p.name} is not grayscale")
+            _check_size(vid, "mask", p, m, size)
             mask_arrays.append((m > 127).astype(np.float64))
         masks = np.stack(mask_arrays)[:, None]
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .backbones import AudioState
 from .encoder import EncoderOutput
 from .layers import Linear1x1
@@ -40,7 +38,7 @@ class DecoderStageParams:
 
 @dataclass
 class SegOutput:
-    logits: Tensor                    # (B, K, H, W)
+    logits: Tensor                    # (B, 1, H, W)
     per_stage_features: list          # injected features, deepest first
     audio_states: list = field(default_factory=list)  # fused states, deepest first
 
@@ -101,10 +99,8 @@ class FusionDecoder:
         # one foreground plane, the only output the losses and metrics read
         self.head = Linear1x1(f"{prefix}.head", self.channels[0], 1, rng, params)
 
-    def forward(self, enc: EncoderOutput, out_hw,
-                zero_recurrence: bool = False) -> SegOutput:
-        """Decode to logits; ``zero_recurrence`` severs the recurrent audio
-        path (each stage sees a zero previous state), an ablation hook."""
+    def forward(self, enc: EncoderOutput, out_hw) -> SegOutput:
+        """Decode the fused pyramid to logits at ``out_hw``."""
         n = len(self.channels)
         first = n - self.interact_stages
         out_h, out_w = out_hw
@@ -116,12 +112,8 @@ class FusionDecoder:
             v = enc.enhanced[i]
             if i >= first:
                 if self.enable_cmfd:
-                    prev = a_dec
-                    if zero_recurrence:
-                        prev = AudioState(
-                            Tensor(np.zeros_like(a_dec.value.data)), a_dec.stage)
                     with section("decoder_fusion"):
-                        a_hat = audio_state_update(prev, enc.audio_states[i], v,
+                        a_hat = audio_state_update(a_dec, enc.audio_states[i], v,
                                                    self.stage_params[i])
                         injected = visual_inject(v, a_hat, self.stage_params[i])
                     a_dec = a_hat

@@ -52,7 +52,7 @@ class TrainConfig:
     weight_decay: float = 1e-2
     seed: int = 0
     freeze_audio_backbone: bool = True
-    loss_variant: str = "seg+msa"    # seg | seg+msa | seg+avm
+    loss_variant: str = "seg+msa"    # seg | seg+msa
     # model
     stage_channels: tuple = (16, 32, 64, 128)
     audio_channels: int = 128
@@ -83,7 +83,7 @@ class TrainConfig:
                           ("log_every", 1), ("ckpt_every", 0)):
             if not getattr(self, name) >= low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.loss_variant not in ("seg", "seg+msa", "seg+avm"):
+        if self.loss_variant not in ("seg", "seg+msa"):
             raise ContractError(f"unknown loss variant {self.loss_variant!r}")
 
     def model_config(self) -> ModelConfig:

@@ -20,8 +20,7 @@ import numpy as np
 
 from .tensor import (
     FLOPS, ContractError, DimensionError, Tensor, _accum, _result, _sigmoid_data,
-    add, bilinear_upsample, div, l2_normalize, mul, no_grad, sigmoid, sub, tlog,
-    tmean, tsum,
+    add, bilinear_upsample, l2_normalize, mul, no_grad, sigmoid, tsum,
 )
 
 PROB_EPS = 1e-7
@@ -43,15 +42,11 @@ class LossReport:
     msa: float
     total: float
     per_scale_msa: list = field(default_factory=list)
-    avm: float | None = None
     loss: Tensor | None = None   # differentiable total, excluded from logs
 
     def to_json_dict(self, step: int) -> dict:
-        d = {"step": step, "dice": self.dice, "bce": self.bce,
-             "msa": self.msa, "total": self.total}
-        if self.avm is not None:
-            d["avm"] = self.avm
-        return d
+        return {"step": step, "dice": self.dice, "bce": self.bce,
+                "msa": self.msa, "total": self.total}
 
 
 # ---------------------------------------------------------------------------
@@ -59,13 +54,11 @@ class LossReport:
 # ---------------------------------------------------------------------------
 
 def foreground_mask(y: Tensor) -> Tensor:
-    """Union over class planes: 1 wherever any class is active."""
+    """The sounding-foreground mask as data, checked to be strictly binary."""
     vals = y.data
     if not np.isin(vals, (0.0, 1.0)).all():
-        raise ContractError("class masks must be strictly binary")
-    if y.shape[1] == 1:
-        return Tensor(vals.copy())
-    return Tensor((vals.sum(axis=1, keepdims=True) > 0).astype(np.float64))
+        raise ContractError("masks must be strictly binary")
+    return Tensor(vals.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -179,33 +172,16 @@ def alignment_maps(features: list, audio: list, tau: float, out_h: int,
     return AlignmentMaps(s=raw, s_up=up)
 
 
-def _scale_mean(per_scale: list):
-    """Mean of the per-scale losses, returned with the list."""
+def msa_loss(maps: AlignmentMaps, mask: Tensor):
+    """Mean over scales of pixelwise BCE between upsampled scores and mask.
+
+    Returns the mean and the per-scale losses it averages.
+    """
+    per_scale = [bce_on_probs(s, mask) for s in maps.s_up]
     total = per_scale[0]
     for t in per_scale[1:]:
         total = add(total, t)
     return mul(total, 1.0 / len(per_scale)), per_scale
-
-
-def msa_loss(maps: AlignmentMaps, mask: Tensor):
-    """Mean over scales of pixelwise BCE between upsampled scores and mask."""
-    return _scale_mean([bce_on_probs(s, mask) for s in maps.s_up])
-
-
-def avm_loss(maps: AlignmentMaps, mask: Tensor, eps: float = 1e-8):
-    """KL-style alternative: distribution over pixels of scores vs of mask.
-
-    Both the upsampled score map and the foreground mask are normalized to a
-    per-frame spatial distribution; the loss is KL(mask || scores) averaged
-    over scales and frames. Kept as an optional plugin for loss ablations.
-    """
-    per_scale = []
-    for s in maps.s_up:
-        p_mask = div(add(mask, eps), tsum(add(mask, eps), axis=(1, 2, 3), keepdims=True))
-        p_s = div(add(s, eps), tsum(add(s, eps), axis=(1, 2, 3), keepdims=True))
-        kl = tsum(mul(p_mask, sub(tlog(p_mask), tlog(p_s))), axis=(1, 2, 3))
-        per_scale.append(tmean(kl))
-    return _scale_mean(per_scale)
 
 
 def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
@@ -214,7 +190,7 @@ def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
     """Assemble the training objective and its per-component report."""
     if lam < 0:
         raise ContractError(f"balance weight must be >= 0, got {lam}")
-    if variant not in ("seg", "seg+msa", "seg+avm"):
+    if variant not in ("seg", "seg+msa"):
         raise ContractError(f"unknown loss variant {variant!r}")
     mask = foreground_mask(y)
     d = dice_loss(logits, mask)
@@ -225,18 +201,10 @@ def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
     with no_grad() if variant == "seg" else nullcontext():
         maps = alignment_maps(features, audio, tau, logits.shape[2], logits.shape[3])
         m, per_scale = msa_loss(maps, mask)
-    avm_val = None
-    if variant == "seg+avm":
-        a, _ = avm_loss(maps, mask)
-        loss = add(seg, mul(a, lam))
-        avm_val = a.item()
-    elif variant == "seg":
-        loss = seg
-    else:
-        loss = add(seg, mul(m, lam))
+    loss = seg if variant == "seg" else add(seg, mul(m, lam))
     return LossReport(
         dice=d.item(), bce=b.item(), msa=m.item(), total=loss.item(),
-        per_scale_msa=[t.item() for t in per_scale], avm=avm_val, loss=loss)
+        per_scale_msa=[t.item() for t in per_scale], loss=loss)
 
 
 # ---------------------------------------------------------------------------

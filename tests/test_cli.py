@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lightavseg.cli import (
     _build_parser, _load_config, main, read_tensor_file, write_tensor_file,
@@ -56,6 +58,7 @@ class TestTrainCli:
         ("snr_db=abc", None, "snr_db"),
         ("steps=1", "abc", "seed"),
         ("warp_speed=9", None, "warp_speed"),
+        ("loss_variant=seg+avm", None, r"seg\+avm"),
     ])
     def test_bad_config_value_is_contract_error(self, tmp_path, monkeypatch, capsys,
                                                 line, env_seed, key):
@@ -122,19 +125,24 @@ class TestEvalCli:
         assert main(["eval", "--ckpt", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_eval_checkpoint_with_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entry,message", [
+        ({"warp_speed": 9}, "unknown config key 'warp_speed'"),
+        ({"loss_variant": "seg+avm"}, "unknown loss variant 'seg+avm'"),
+    ], ids=["unknown-key", "removed-loss-variant"])
+    def test_eval_checkpoint_with_bad_config_fails_cleanly(self, tmp_path, capsys,
+                                                          entry, message):
         assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
         data = (tmp_path / "run" / "ckpt_final.bin").read_bytes()
         (cfg_len,) = struct.unpack("<I", data[8:12])
         cfg = json.loads(data[12:12 + cfg_len])
-        blob = json.dumps({**cfg, "warp_speed": 9}, sort_keys=True).encode()
+        blob = json.dumps({**cfg, **entry}, sort_keys=True).encode()
         bad = tmp_path / "bad.bin"
         bad.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
                         + data[12 + cfg_len:])
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(bad)]) == 1
         captured = capsys.readouterr()
-        assert "unknown config key 'warp_speed'" in captured.err and captured.out == ""
+        assert message in captured.err and captured.out == ""
 
     def test_eval_data_with_truncated_frame_fails_cleanly(self, tmp_path, capsys):
         assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
@@ -161,6 +169,20 @@ class TestEvalCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "not RGB" in captured.err
         assert captured.out == ""
+
+    def test_eval_data_with_mismatched_mask_size_fails_cleanly(self, tmp_path, capsys):
+        from lightavseg.pngio import write_png
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        assert main(["synth-data", "--out", str(tmp_path / "d"), "--scenes", "2",
+                     "--hw", "32"]) == 0
+        write_png(tmp_path / "d" / "scene_00001" / "masks" / "00000.png",
+                  np.zeros((16, 16), dtype=np.uint8))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
+                     "--data", str(tmp_path / "d")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "scene_00001" in captured.err
+        assert "16x16" in captured.err and captured.out == ""
 
     def test_eval_dump_alignment_writes_per_scene_maps(self, tmp_path):
         assert main(toy_train_args(tmp_path / "run")) == 0
@@ -280,6 +302,15 @@ class TestOtherCommands:
         p.write_bytes(b"TNSR" + struct.pack("<4I", 3, *[0xFFFFFFFF] * 3) + b"\0" * 16)
         with pytest.raises(ContractError, match="truncated data"):
             read_tensor_file(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, max_side=4),
+                          elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_tensor_file_round_trip_is_bit_identical(self, tmp_path_factory, arr):
+        p = tmp_path_factory.mktemp("tnsr") / "t.tnsr"
+        write_tensor_file(p, arr)
+        back = read_tensor_file(p)
+        assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
 
     def test_tensor_file_truncated_at_every_offset(self, tmp_path):
         p = tmp_path / "t.tnsr"

@@ -5,6 +5,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lightavseg.audio import log_mel
 from lightavseg.data import (
@@ -27,6 +29,16 @@ class TestPng:
         p = tmp_path / "c.png"
         write_png(p, img)
         np.testing.assert_array_equal(read_png(p), img)
+
+    @settings(max_examples=60, deadline=None)
+    @given(img=hnp.arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9))
+                          | st.tuples(st.integers(1, 9), st.integers(1, 9), st.just(3))))
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, img):
+        p = tmp_path_factory.mktemp("png") / "x.png"
+        write_png(p, img)
+        back = read_png(p)
+        assert back.dtype == np.uint8 and back.shape == img.shape
+        assert back.tobytes() == img.tobytes()
 
     def test_rejects_non_uint8(self, tmp_path):
         with pytest.raises(ContractError):
@@ -83,11 +95,6 @@ class TestSceneGeneration:
         assert np.all(fg_colors.std(axis=1) < 1e-12)
         assert fg_colors[:, 0].min() >= 0.55
 
-    def test_single_shape_spec(self):
-        spec = DatasetSpec(n_scenes=4, hw=32, seed=5, shapes_per_scene=1)
-        s = generate_scene(spec, 1)
-        assert s.masks.data.sum() > 0
-
     def test_deterministic_per_seed_and_index(self):
         spec = DatasetSpec(n_scenes=4, hw=32, seed=9)
         a = generate_scene(spec, 2)
@@ -136,6 +143,13 @@ class TestSceneGeneration:
         with pytest.raises(ContractError):
             DatasetSpec(freq_table={0: 500.0, 1: 500.0})
 
+    @pytest.mark.parametrize("table", [
+        {0: 500.0}, {0: 500.0, 1: 900.0, 2: 1300.0}, {1: 500.0, 2: 900.0},
+    ])
+    def test_freq_table_keys_are_the_two_shape_ids(self, table):
+        with pytest.raises(ContractError, match="0 and 1"):
+            DatasetSpec(freq_table=table)
+
 
 class TestLayout:
     def test_round_trip_bit_identical_after_quantization(self, tmp_path):
@@ -181,6 +195,24 @@ class TestLayout:
         victim = sorted(tmp_path.iterdir())[1]
         write_png(victim / "frames" / "00000.png", np.zeros((32, 32), dtype=np.uint8))
         with pytest.raises(LoadError, match="not RGB") as e:
+            list(load_avsbench_layout(tmp_path))
+        assert victim.name in str(e.value) and "00000.png" in str(e.value)
+
+    def test_frame_size_mismatch_names_clip_and_file(self, tmp_path):
+        spec = DatasetSpec(n_scenes=2, hw=32, seed=8, frames_per_scene=2)
+        materialize_dataset(spec, tmp_path)
+        victim = sorted(tmp_path.iterdir())[1]
+        write_png(victim / "frames" / "00001.png", np.zeros((16, 16, 3), dtype=np.uint8))
+        with pytest.raises(LoadError, match="16x16") as e:
+            list(load_avsbench_layout(tmp_path))
+        assert victim.name in str(e.value) and "00001.png" in str(e.value)
+
+    def test_mask_size_mismatch_names_clip_and_file(self, tmp_path):
+        spec = DatasetSpec(n_scenes=2, hw=32, seed=8)
+        materialize_dataset(spec, tmp_path)
+        victim = sorted(tmp_path.iterdir())[0]
+        write_png(victim / "masks" / "00000.png", np.zeros((16, 16), dtype=np.uint8))
+        with pytest.raises(LoadError, match="16x16") as e:
             list(load_avsbench_layout(tmp_path))
         assert victim.name in str(e.value) and "00000.png" in str(e.value)
 

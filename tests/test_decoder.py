@@ -147,7 +147,13 @@ class TestDecoderForward:
         a0 = model.initial_audio_state(mel, 1)
         enc = model.encoder.forward(frames, a0)
         normal = model.decoder.forward(enc, (32, 32))
-        broken = model.decoder.forward(enc, (32, 32), zero_recurrence=True)
+        # proj_prev with a zero weight maps any state to its bias, exactly what
+        # it maps a zero state to, so this severs the recurrent input
+        severed = [n for n in model.params if n.endswith(".proj_prev.weight")]
+        assert severed == [f"decoder.s{i}.proj_prev.weight" for i in (4, 3, 2)]
+        for name in severed:
+            model.params[name].data[...] = 0.0
+        broken = model.decoder.forward(enc, (32, 32))
         diff = np.abs(normal.logits.data - broken.logits.data).max()
         assert diff > 1e-6, diff
 

@@ -8,7 +8,7 @@ import pytest
 from lightavseg.backbones import AudioState
 from lightavseg import tensor as T
 from lightavseg.losses import (
-    PROB_EPS, AlignmentMaps, alignment_maps, avm_loss, bce_loss, bce_on_probs,
+    PROB_EPS, AlignmentMaps, alignment_maps, bce_loss, bce_on_probs,
     dice_loss, foreground_mask, fscore, miou, msa_loss, total_loss,
 )
 from lightavseg.tensor import (
@@ -163,20 +163,13 @@ class TestFusedLossOps:
 
 class TestForegroundMask:
     def test_all_zero(self):
-        m = foreground_mask(Tensor(np.zeros((1, 3, 4, 4))))
+        m = foreground_mask(Tensor(np.zeros((1, 1, 4, 4))))
         np.testing.assert_array_equal(m.data, 0.0)
         assert m.shape == (1, 1, 4, 4)
 
     def test_single_class_passthrough(self):
         y = (RngState(2).uniform((2, 1, 4, 4), 0, 1) > 0.5).astype(float)
         np.testing.assert_array_equal(foreground_mask(Tensor(y)).data, y)
-
-    def test_union_of_disjoint_classes(self):
-        y = np.zeros((1, 2, 2, 2))
-        y[0, 0, 0, 0] = 1.0
-        y[0, 1, 1, 1] = 1.0
-        m = foreground_mask(Tensor(y)).data
-        np.testing.assert_array_equal(m[0, 0], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_non_binary_rejected(self):
         with pytest.raises(ContractError):
@@ -290,13 +283,6 @@ class TestTotalLoss:
         ref = total_loss(logits, feats, auds, y, lam=0.5, variant="seg+msa")
         assert rep.msa == ref.msa and rep.per_scale_msa == ref.per_scale_msa
 
-    def test_variant_avm_reports_avm(self):
-        logits, feats, auds, y = self._inputs(4)
-        rep = total_loss(logits, feats, auds, y, lam=0.5, variant="seg+avm")
-        assert rep.avm is not None
-        assert rep.total == pytest.approx(rep.dice + rep.bce + 0.5 * rep.avm,
-                                          abs=1e-10)
-
     def test_gradients_pass(self):
         logits, feats, auds, y = self._inputs(9)
 
@@ -376,20 +362,3 @@ class TestMetrics:
         from lightavseg.tensor import DimensionError
         with pytest.raises(DimensionError):
             miou(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 5)))
-
-
-class TestAvmLoss:
-    def test_matching_distributions_near_zero(self):
-        m = np.zeros((1, 1, 4, 4))
-        m[0, 0, 1:3, 1:3] = 1.0
-        maps = AlignmentMaps(s=[], s_up=[Tensor(m + 1e-6)])
-        loss, _ = avm_loss(maps, Tensor(m))
-        assert loss.item() < 1e-3
-
-    def test_mismatched_distributions_positive(self):
-        m = np.zeros((1, 1, 4, 4))
-        m[0, 0, 0, 0] = 1.0
-        s = np.full((1, 1, 4, 4), 0.5)
-        maps = AlignmentMaps(s=[], s_up=[Tensor(s)])
-        loss, _ = avm_loss(maps, Tensor(m))
-        assert loss.item() > 0.1
