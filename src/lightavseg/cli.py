@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import (
-    ContractError, DimensionError, NumericalError, RngState, read_array, write_array,
+    ContractError, DimensionError, NumericalError, RngState, bilinear_upsample, read_array,
+    write_array,
 )
 
 TENSOR_MAGIC = b"TNSR"
@@ -156,11 +157,10 @@ def _cmd_eval(args) -> int:
         dump_dir.mkdir(parents=True, exist_ok=True)
 
         def dump_scene(i, scene, seg):
-            maps = alignment_maps(seg.per_stage_features, seg.audio_states, cfg.tau,
-                                  scene.frames.shape[2], scene.frames.shape[3])
-            for s_idx, m in enumerate(maps.s_up):
+            scores = alignment_maps(seg.per_stage_features, seg.audio_states, cfg.tau)
+            for s_idx, s in enumerate(scores):
                 write_tensor_file(dump_dir / f"scene{i:04d}_scale{s_idx}.tnsr",
-                                  m.data)
+                                  bilinear_upsample(s, *scene.frames.shape[2:]).data)
 
     report = evaluate(model, scenes, mute_audio=args.mute_audio,
                       threshold=args.threshold, on_scene=dump_scene)
@@ -251,13 +251,13 @@ def _cmd_inspect(args) -> int:
     mel = log_mel(scene.waveform).windows
     with no_grad():
         seg, enc = model.forward(scene.frames, mel)
-        maps = alignment_maps(seg.per_stage_features, seg.audio_states, cfg.tau,
-                              scene.frames.shape[2], scene.frames.shape[3])
+        scores = alignment_maps(seg.per_stage_features, seg.audio_states, cfg.tau)
+        maps = [bilinear_upsample(s, *scene.frames.shape[2:]) for s in scores]
     write_tensor_file(out_dir / "logits.tnsr", seg.logits.data)
     for i, (feat, state) in enumerate(zip(enc.enhanced, enc.audio_states)):
         write_tensor_file(out_dir / f"enc_stage{i + 1}_feat.tnsr", feat.data)
         write_tensor_file(out_dir / f"enc_stage{i + 1}_audio.tnsr", state.value.data)
-    for i, m in enumerate(maps.s_up):
+    for i, m in enumerate(maps):
         write_tensor_file(out_dir / f"alignment_scale{i}.tnsr", m.data)
     pred = (_sigmoid_data(seg.logits.data[0, 0]) > 0.5).astype(np.uint8) * 255
     write_png(out_dir / "pred_mask.png", pred)

@@ -31,8 +31,8 @@ from .data import DatasetSpec, generate_dataset
 from .losses import alignment_maps, foreground_mask, fscore, miou, total_loss
 from .model import ModelConfig, SegModel
 from .tensor import (
-    ContractError, RngState, Tensor, _read_exact, _sigmoid_data, backward, no_grad,
-    read_array, write_array,
+    ContractError, RngState, Tensor, _read_exact, _sigmoid_data, backward,
+    bilinear_upsample, no_grad, read_array, write_array,
 )
 
 CKPT_MAGIC = b"AVSC"
@@ -415,9 +415,9 @@ def alignment_separation(model: SegModel, scenes: list, tau: float = 0.1) -> dic
         mel = log_mel(scene.waveform).windows
         with no_grad():
             seg, _ = model.forward(scene.frames, mel)
-            maps = alignment_maps(seg.per_stage_features, seg.audio_states,
-                                  tau, scene.frames.shape[2], scene.frames.shape[3])
-        finest = maps.s_up[-1].data  # shallowest supervised scale
+            scores = alignment_maps(seg.per_stage_features, seg.audio_states, tau)
+            # shallowest supervised scale
+            finest = bilinear_upsample(scores[-1], *scene.frames.shape[2:]).data
         mask = foreground_mask(scene.masks).data > 0.5
         fg_vals.append(finest[mask])
         bg_vals.append(finest[~mask])

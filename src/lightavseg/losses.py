@@ -19,20 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
-    FLOPS, ContractError, DimensionError, Tensor, _accum, _result, _sigmoid_data,
-    add, bilinear_upsample, l2_normalize, mul, no_grad, sigmoid, tsum,
+    FLOPS, ContractError, DimensionError, Tensor, _accum, _interp_matrix, _result,
+    _sigmoid_data, add, mul, no_grad,
 )
 
 PROB_EPS = 1e-7
 FSCORE_BETA_SQ = 0.3
-
-
-@dataclass
-class AlignmentMaps:
-    """Audio-visual similarity scores per scale, raw and upsampled."""
-
-    s: list      # Tensor[B,1,H_i,W_i], values in (0,1), deepest first
-    s_up: list   # Tensor[B,1,H,W]
 
 
 @dataclass
@@ -53,12 +45,18 @@ class LossReport:
 # Masks
 # ---------------------------------------------------------------------------
 
+def _binary_zeros(m: np.ndarray, what: str) -> np.ndarray:
+    """Where ``m`` is 0, as booleans; a value other than 0 or 1 raises ContractError."""
+    zeros = m == 0.0
+    if np.count_nonzero(zeros) + np.count_nonzero(m == 1.0) != m.size:
+        raise ContractError(f"{what} must be strictly binary")
+    return zeros
+
+
 def foreground_mask(y: Tensor) -> Tensor:
     """The sounding-foreground mask as data, checked to be strictly binary."""
-    vals = y.data
-    if not np.isin(vals, (0.0, 1.0)).all():
-        raise ContractError("masks must be strictly binary")
-    return Tensor(vals.copy())
+    _binary_zeros(y.data, "masks")
+    return Tensor(y.data.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +97,13 @@ def dice_loss(logits: Tensor, mask: Tensor, smooth: float = 1.0) -> Tensor:
     FLOPS.add(elems=5 * x.size + 7 * batch + 1)
 
     def bw(g):
-        _accum(logits, (frac - 2.0 * m) * (g / (batch * denom)) * (p * (1.0 - p)), own=True)
+        gx = m * 2.0
+        np.subtract(frac, gx, out=gx)
+        gx *= g / (batch * denom)
+        q = np.subtract(1.0, p)
+        q *= p
+        gx *= q
+        _accum(logits, gx, own=True)
 
     return _result(out, "dice_loss", (logits,), bw)
 
@@ -110,78 +114,166 @@ def bce_loss(logits: Tensor, mask: Tensor) -> Tensor:
     x = logits.data
     n = x.size
     # softplus as max(x, 0) + log1p(exp(-|x|)): np.logaddexp is about 5x slower
-    softplus = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    out = (softplus - x * m).sum().reshape(1) * (1.0 / n)
+    t = np.abs(x)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    u = np.maximum(x, 0.0)
+    t += u
+    np.multiply(x, m, out=u)
+    t -= u
+    out = t.sum().reshape(1) * (1.0 / n)
     FLOPS.add(elems=4 * n + 1)
 
     def bw(g):
-        _accum(logits, (_sigmoid_data(x) - m) * (g / n), own=True)
+        gx = _sigmoid_data(x)
+        gx -= m
+        gx *= g / n
+        _accum(logits, gx, own=True)
 
     return _result(out, "bce_loss", (logits,), bw)
 
 
-def bce_on_probs(probs: Tensor, mask: Tensor) -> Tensor:
-    """BCE for inputs that are already probabilities; clamped to avoid log(0).
-
-    The gradient is -(m/p - (1-m)/(1-p)) / N where PROB_EPS < x < 1 - PROB_EPS,
-    and zero where the clamp is active.
-    """
-    m = _mask_data(probs, mask, "bce_on_probs")
-    x = probs.data
-    n = x.size
-    lo, hi = PROB_EPS, 1.0 - PROB_EPS
-    p = np.clip(x, lo, hi)
-    out = -((m * np.log(p) + (1.0 - m) * np.log(1.0 - p)).sum().reshape(1) * (1.0 / n))
-    FLOPS.add(elems=9 * n + 2)
-
-    def bw(g):
-        p = np.clip(x, lo, hi)  # recomputed rather than kept alive until backward
-        gp = (1.0 - m) / (1.0 - p)
-        gp -= m / p
-        gp *= g / n
-        gp[(x <= lo) | (x >= hi)] = 0.0
-        _accum(probs, gp, own=True)
-
-    return _result(out, "bce_on_probs", (probs,), bw)
-
-
 # ---------------------------------------------------------------------------
 # Multi-scale alignment
+#
+# Two kinds of node: one ``cosine_scores`` per scale, and one ``msa_loss``
+# over all scales that upsamples each score map to the mask's size inside the
+# node, so no full-resolution map is a graph node or lives until backward.
 # ---------------------------------------------------------------------------
 
-def alignment_maps(features: list, audio: list, tau: float, out_h: int,
-                   out_w: int, eps: float = 1e-6) -> AlignmentMaps:
-    """Per-scale sharpened cosine-similarity maps between pixels and audio."""
+def cosine_scores(feature: Tensor, audio: Tensor, tau: float, eps: float = 1e-6) -> Tensor:
+    """sigmoid(cos(f, a) / tau) per pixel, as one node.
+
+    With v = f / (||f|| + eps) and b = a / (||a|| + eps) (norms over
+    channels), the score is sigmoid(sum_c v b / tau). The forward runs the
+    op chain's own expressions (l2_normalize twice, mul, sum, mul by 1/tau,
+    sigmoid), so its values and FLOPs are that chain's. The backward is
+    closed-form for both inputs; where a norm is 0 it passes no gradient
+    through that norm, as the chain's sqrt does.
+    """
+    x, a = feature.data, audio.data
+    if x.ndim != 4 or a.shape != (*x.shape[:2], 1, 1):
+        raise DimensionError(f"cosine_scores needs features (B,C,H,W) and audio (B,C,1,1), "
+                             f"got {x.shape} and {a.shape}")
+    B, C = x.shape[:2]
+    inv_tau = 1.0 / tau
+    nx = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    dx = nx + eps
+    v = x / dx
+    na = np.sqrt((a * a).sum(axis=1, keepdims=True))
+    da = na + eps
+    b = a / da
+    sim = (v * b).sum(axis=1, keepdims=True)
+    out = _sigmoid_data(sim * inv_tau)
+    FLOPS.add(elems=5 * x.size + 4 * sim.size + 3 * a.size + 2 * na.size)
+
+    def bw(g):
+        # dL/dv = gsim * b and dL/db = sum_hw(gsim * v); through y = x / (n + eps),
+        # dL/dx = dL/dy / d - x * sum_c(dL/dy * x) / (d^2 n), the second term only where n > 0
+        gsim = g * out * (1.0 - out) * inv_tau
+        k = gsim / dx
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if feature.requires_grad:
+                gx = k * b      # sum_c(gsim * b * x) = gsim * dx * sim
+                gx -= x * np.where(nx > 0.0, k * sim / nx, 0.0)
+                _accum(feature, gx, own=True)
+            if audio.requires_grad:
+                gb = (x.reshape(B, C, -1) @ k.reshape(B, -1, 1)).reshape(a.shape)
+                r = (gb * a).sum(axis=1, keepdims=True)
+                ga = gb / da
+                ga -= a * np.where(na > 0.0, r / (da * da * na), 0.0)
+                _accum(audio, ga, own=True)
+
+    return _result(out, "cosine_scores", (feature, audio), bw)
+
+
+def alignment_maps(features: list, audio: list, tau: float, eps: float = 1e-6) -> list:
+    """Per-scale sharpened cosine-similarity scores in (0, 1), deepest first.
+
+    The scores keep each scale's resolution; ``msa_loss`` upsamples them
+    inside its node, and a no-grad caller that wants full-resolution maps
+    calls ``bilinear_upsample`` itself.
+    """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")
     if len(features) != len(audio):
         raise ContractError(
             f"{len(features)} feature scales but {len(audio)} audio states")
-    raw, up = [], []
+    scores = []
     for f, a in zip(features, audio):
         a_val = a.value if hasattr(a, "value") else a
         if f.shape[1] != a_val.shape[1]:
             raise DimensionError(
                 f"feature width {f.shape[1]} != audio width {a_val.shape[1]}")
-        v_bar = l2_normalize(f, axis=1, eps=eps)
-        a_bar = l2_normalize(a_val, axis=1, eps=eps)
-        sim = tsum(mul(v_bar, a_bar), axis=1, keepdims=True)
-        s = sigmoid(mul(sim, 1.0 / tau))
-        raw.append(s)
-        up.append(bilinear_upsample(s, out_h, out_w))
-    return AlignmentMaps(s=raw, s_up=up)
+        scores.append(cosine_scores(f, a_val, tau, eps))
+    return scores
 
 
-def msa_loss(maps: AlignmentMaps, mask: Tensor):
+def msa_loss(scores: list, mask: Tensor):
     """Mean over scales of pixelwise BCE between upsampled scores and mask.
 
-    Returns the mean and the per-scale losses it averages.
+    One node over every scale. Each score map is bilinearly upsampled to the
+    mask's size and clamped to [PROB_EPS, 1 - PROB_EPS] as p; with q = p where
+    m is 1 and 1 - p where m is 0, a scale's loss is -mean(log q), and its
+    gradient with respect to p is (1 - 2m) / (q N), zero where the clamp is
+    active. This one-log form is exact only for a binary mask, so any other
+    mask raises ContractError. The backward recomputes each upsample rather
+    than keeping full-resolution maps alive.
+
+    Returns the mean and the per-scale losses it averages (values, not nodes).
     """
-    per_scale = [bce_on_probs(s, mask) for s in maps.s_up]
+    if not scores:
+        raise ContractError("msa_loss needs at least one scale")
+    if mask.requires_grad:
+        raise ContractError("msa_loss: the mask is data and must not require grad")
+    m = mask.data
+    if m.ndim != 4:
+        raise DimensionError(f"msa_loss needs a 4D mask, got {m.shape}")
+    neg = _binary_zeros(m, "msa_loss: the mask")
+    B, C, H, W = m.shape
+    n = m.size
+    lo, hi = PROB_EPS, 1.0 - PROB_EPS
+    interp = []
+    for s in scores:
+        if s.ndim != 4 or s.shape[:2] != (B, C) or s.shape[2] > H or s.shape[3] > W:
+            raise DimensionError(f"msa_loss: scores {s.shape} do not upsample to mask {m.shape}")
+        interp.append((_interp_matrix(H, s.shape[2]), _interp_matrix(W, s.shape[3])))
+
+    def one_log_arg(up):
+        """q from the upsampled scores, in place."""
+        np.clip(up, lo, hi, out=up)
+        np.subtract(1.0, up, out=up, where=neg)
+        return up
+
+    per_scale = []
+    for s, (my, mx) in zip(scores, interp):
+        q = one_log_arg((my @ s.data) @ mx.T)
+        np.log(q, out=q)
+        per_scale.append(-(q.sum() * (1.0 / n)))
     total = per_scale[0]
-    for t in per_scale[1:]:
-        total = add(total, t)
-    return mul(total, 1.0 / len(per_scale)), per_scale
+    for v in per_scale[1:]:
+        total = total + v
+    out = np.array([total * (1.0 / len(scores))])
+    FLOPS.add(elems=len(scores) * (13 * n + 3))
+
+    def bw(g):
+        g_scale = g * (1.0 / len(scores)) / n
+        sign = m * -2.0
+        sign += 1.0
+        for s, (my, mx) in zip(scores, interp):
+            if not s.requires_grad:
+                continue
+            up = (my @ s.data) @ mx.T
+            band = up <= lo
+            band |= up >= hi
+            q = one_log_arg(up)
+            np.divide(sign, q, out=q)
+            q *= g_scale
+            np.copyto(q, 0.0, where=band)
+            _accum(s, my.T @ (q @ mx), own=True)
+
+    return _result(out, "msa_loss", tuple(scores), bw), per_scale
 
 
 def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
@@ -199,12 +291,11 @@ def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
 
     # seg logs msa without building a graph for backward to walk
     with no_grad() if variant == "seg" else nullcontext():
-        maps = alignment_maps(features, audio, tau, logits.shape[2], logits.shape[3])
-        m, per_scale = msa_loss(maps, mask)
+        m, per_scale = msa_loss(alignment_maps(features, audio, tau), mask)
     loss = seg if variant == "seg" else add(seg, mul(m, lam))
     return LossReport(
         dice=d.item(), bce=b.item(), msa=m.item(), total=loss.item(),
-        per_scale_msa=[t.item() for t in per_scale], loss=loss)
+        per_scale_msa=[float(v) for v in per_scale], loss=loss)
 
 
 # ---------------------------------------------------------------------------

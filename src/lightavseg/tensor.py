@@ -499,11 +499,20 @@ def hsigmoid(x) -> Tensor:
 
 
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without branches.
+
+    exp(min(x, 0)) / (1 + exp(-|x|)): the numerator is exactly 1 for x >= 0
+    and exp(x) below, and exp(-|x|) is exactly exp(-x) or exp(x), so this
+    matches the two-branch form bit for bit and never overflows. A masked
+    ufunc (``where=``) would cost several times more on mixed-sign input.
+    """
+    d = np.abs(x)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out /= d
     return out
 
 

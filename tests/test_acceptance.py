@@ -24,7 +24,7 @@ from lightavseg.harness import (
     model_from_checkpoint, save_checkpoint, train,
 )
 from lightavseg.losses import (
-    AlignmentMaps, bce_loss, fscore, miou, msa_loss, total_loss,
+    bce_loss, fscore, miou, msa_loss, total_loss,
 )
 from lightavseg.model import SegModel
 from lightavseg.tensor import RngState, Tensor
@@ -143,7 +143,7 @@ class TestLossIdentities:
             max_gap = max(max_gap, abs(rep.total - (rep.dice + rep.bce + 0.5 * rep.msa)))
 
         m = (RngState(99).uniform((1, 1, 4, 4), 0, 1) > 0.5).astype(float)
-        msa_val = msa_loss(AlignmentMaps(s=[], s_up=[Tensor(m)] * 3), Tensor(m))[0].item()
+        msa_val = msa_loss([Tensor(m)] * 3, Tensor(m))[0].item()
         bce_val = bce_loss(Tensor(np.zeros((1, 1, 4, 4))), Tensor(m)).item()
         bce_gap = abs(bce_val - math.log(2.0))
         ok = max_gap <= 1e-12 and msa_val < 2e-6 and bce_gap <= 1e-9

@@ -8,12 +8,12 @@ import pytest
 from lightavseg.backbones import AudioState
 from lightavseg import tensor as T
 from lightavseg.losses import (
-    PROB_EPS, AlignmentMaps, alignment_maps, bce_loss, bce_on_probs,
-    dice_loss, foreground_mask, fscore, miou, msa_loss, total_loss,
+    PROB_EPS, alignment_maps, bce_loss, cosine_scores, dice_loss, foreground_mask,
+    fscore, miou, msa_loss, total_loss,
 )
 from lightavseg.tensor import (
-    FLOPS, ContractError, DimensionError, RngState, Tensor, backward, grad_check,
-    topo_order,
+    FLOPS, ContractError, DimensionError, RngState, Tensor, backward, bilinear_upsample,
+    grad_check, topo_order,
 )
 
 
@@ -85,15 +85,32 @@ def ref_bce_on_probs(probs, mask):
     return T.mul(T.tmean(T.add(pos, neg)), -1.0)
 
 
-FUSED_AND_REF = [(dice_loss, ref_dice), (bce_loss, ref_bce),
-                 (bce_on_probs, ref_bce_on_probs)]
+def ref_msa(scores, mask):
+    h, w = mask.shape[2:]
+    per_scale = [ref_bce_on_probs(T.bilinear_upsample(s, h, w), mask) for s in scores]
+    total = per_scale[0]
+    for t in per_scale[1:]:
+        total = T.add(total, t)
+    return T.mul(total, 1.0 / len(per_scale)), per_scale
+
+
+def msa_one(probs, mask):
+    """msa_loss over one scale at the mask's size, where its upsample is the identity."""
+    return msa_loss([probs], mask)[0]
+
+
+def ref_msa_one(probs, mask):
+    return ref_msa([probs], mask)[0]
+
+
+FUSED_AND_REF = [(dice_loss, ref_dice), (bce_loss, ref_bce), (msa_one, ref_msa_one)]
 FUSED = [fused for fused, _ in FUSED_AND_REF]
 SHAPES = [(2, 1, 8, 8), (1, 1, 5, 7), (3, 1, 6, 9), (3, 2, 3, 1)]
 
 
 def loss_inputs(fused, shape, seed):
     rng = RngState(seed)
-    if fused is bce_on_probs:
+    if fused is msa_one:
         x = rng.uniform(shape, 0.0, 1.0)
     else:
         x = rng.uniform(shape, -4.0, 4.0)
@@ -127,12 +144,12 @@ class TestFusedLossOps:
         for fused in FUSED:
             assert topo_order(fused(x, m))[:-1] == [x]
 
-    def test_bce_on_probs_clamped_probabilities_get_zero_gradient(self):
+    def test_msa_clamped_probabilities_get_zero_gradient(self):
         lo, hi = PROB_EPS, 1.0 - PROB_EPS
         x = np.array([0.0, 1.0, lo, hi, 0.5, 1e-9, 1.0 - 1e-9, 0.3]).reshape(2, 1, 2, 2)
         m = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]).reshape(2, 1, 2, 2)
-        loss, grad, _ = value_grad_flops(bce_on_probs, x, m)
-        ref_loss, ref_grad, _ = value_grad_flops(ref_bce_on_probs, x, m)
+        loss, grad, _ = value_grad_flops(msa_one, x, m)
+        ref_loss, ref_grad, _ = value_grad_flops(ref_msa_one, x, m)
         assert abs(loss.item() - ref_loss.item()) <= 1e-12
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
         clamped = (x <= lo) | (x >= hi)
@@ -143,7 +160,7 @@ class TestFusedLossOps:
     @pytest.mark.parametrize("fused", FUSED)
     def test_grad_check(self, fused):
         x, m = loss_inputs(fused, (2, 1, 3, 5), seed=9)
-        if fused is bce_on_probs:
+        if fused is msa_one:
             x = 0.05 + 0.9 * x  # central differences stay clear of the clamp
         mask = Tensor(m)
         rep = grad_check(lambda t: fused(t, mask), Tensor(x, requires_grad=True))
@@ -158,7 +175,7 @@ class TestFusedLossOps:
     @pytest.mark.parametrize("fused", FUSED)
     def test_shape_mismatch_rejected(self, fused):
         with pytest.raises(DimensionError):
-            fused(Tensor(np.full((1, 1, 2, 2), 0.5)), Tensor(np.ones((1, 1, 2, 3))))
+            fused(Tensor(np.full((1, 1, 2, 3), 0.5)), Tensor(np.ones((1, 1, 2, 2))))
 
 
 class TestForegroundMask:
@@ -180,27 +197,28 @@ class TestAlignmentMaps:
     def _maps_for(self, vec_feat, vec_audio, tau=0.1):
         f = Tensor(np.array(vec_feat, dtype=float).reshape(1, -1, 1, 1))
         a = AudioState(Tensor(np.array(vec_audio, dtype=float).reshape(1, -1, 1, 1)))
-        return alignment_maps([f], [a], tau, 2, 2)
+        return alignment_maps([f], [a], tau)
 
     def test_parallel_vectors_give_sigmoid_10(self):
         maps = self._maps_for([3.0, 4.0], [6.0, 8.0], tau=0.1)
-        assert maps.s[0].item() == pytest.approx(0.9999546021312976, abs=1e-7)
+        assert maps[0].item() == pytest.approx(0.9999546021312976, abs=1e-7)
 
     def test_orthogonal_vectors_give_half(self):
         maps = self._maps_for([1.0, 0.0], [0.0, 1.0])
-        assert maps.s[0].item() == pytest.approx(0.5, abs=1e-9)
+        assert maps[0].item() == pytest.approx(0.5, abs=1e-9)
 
     def test_antiparallel_vectors(self):
         maps = self._maps_for([1.0, 2.0], [-2.0, -4.0], tau=0.1)
-        assert maps.s[0].item() == pytest.approx(4.5397868702434395e-05, rel=1e-4)
+        assert maps[0].item() == pytest.approx(4.5397868702434395e-05, rel=1e-4)
 
     def test_sim_bounded_and_scores_open_unit(self):
         rng = RngState(3)
         feats = [Tensor(rng.uniform((2, 6, 4, 4), -3, 3))]
         auds = [AudioState(Tensor(rng.uniform((2, 6, 1, 1), -3, 3)))]
-        maps = alignment_maps(feats, auds, 0.1, 8, 8)
-        assert np.all(maps.s[0].data > 0.0) and np.all(maps.s[0].data < 1.0)
-        assert np.all(maps.s_up[0].data > 0.0) and np.all(maps.s_up[0].data < 1.0)
+        maps = alignment_maps(feats, auds, 0.1)
+        up = bilinear_upsample(maps[0], 8, 8)
+        assert np.all(maps[0].data > 0.0) and np.all(maps[0].data < 1.0)
+        assert np.all(up.data > 0.0) and np.all(up.data < 1.0)
 
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ContractError):
@@ -210,21 +228,21 @@ class TestAlignmentMaps:
 class TestMsaLoss:
     def test_perfect_match_below_clamp_floor(self):
         m = (RngState(4).uniform((1, 1, 4, 4), 0, 1) > 0.5).astype(float)
-        maps = AlignmentMaps(s=[], s_up=[Tensor(m)] * 3)
+        maps = [Tensor(m)] * 3
         loss, per = msa_loss(maps, Tensor(m))
         assert loss.item() < 2e-6
         assert len(per) == 3
 
     def test_uniform_half_gives_ln2(self):
         m = (RngState(5).uniform((1, 1, 4, 4), 0, 1) > 0.5).astype(float)
-        maps = AlignmentMaps(s=[], s_up=[Tensor(np.full((1, 1, 4, 4), 0.5))] * 3)
+        maps = [Tensor(np.full((1, 1, 4, 4), 0.5))] * 3
         loss, _ = msa_loss(maps, Tensor(m))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_mean_over_scales(self):
         m = np.ones((1, 1, 2, 2))
         scales = [Tensor(np.full((1, 1, 2, 2), p)) for p in (0.9, 0.5, 0.2)]
-        loss, per = msa_loss(AlignmentMaps(s=[], s_up=scales), Tensor(m))
+        loss, per = msa_loss(scales, Tensor(m))
         assert loss.item() == pytest.approx(sum(p.item() for p in per) / 3, abs=1e-12)
 
     def test_constant_prediction_minimized_at_mask_mean(self):
@@ -235,10 +253,139 @@ class TestMsaLoss:
         grid = np.linspace(0.02, 0.98, 97)
         losses = []
         for c in grid:
-            maps = AlignmentMaps(s=[], s_up=[Tensor(np.full((1, 1, 4, 4), c))])
+            maps = [Tensor(np.full((1, 1, 4, 4), c))]
             losses.append(msa_loss(maps, Tensor(m))[0].item())
         best = grid[int(np.argmin(losses))]
         assert abs(best - mean) <= 0.011  # grid resolution
+
+
+def ref_cosine_scores(f, a, tau, eps=1e-6):
+    sim = T.tsum(T.mul(T.l2_normalize(f, axis=1, eps=eps), T.l2_normalize(a, axis=1, eps=eps)),
+                 axis=1, keepdims=True)
+    return T.sigmoid(T.mul(sim, 1.0 / tau))
+
+
+def alignment_inputs(seed, batch=2, grids=((6, 2, 2), (5, 4, 3), (4, 8, 8))):
+    rng = RngState(seed)
+    feats = [rng.uniform((batch, c, h, w), -1, 1) for c, h, w in grids]
+    auds = [rng.uniform((batch, c, 1, 1), -1, 1) for c, _, _ in grids]
+    return feats, auds
+
+
+def cosine_value_grads(f, x, y, tau=0.1):
+    """Value, (dL/dx, dL/dy) for L = sum(w * f(x, y)) with fixed weights w, and FLOPs."""
+    xt, yt = Tensor(x.copy(), requires_grad=True), Tensor(y.copy(), requires_grad=True)
+    FLOPS.reset()
+    s = f(xt, yt, tau)
+    flops = FLOPS.report()
+    w = RngState(33).uniform(s.shape, -1, 1)
+    backward(T.tsum(T.mul(s, w)))
+    return s.data, (xt.grad, yt.grad), flops
+
+
+def msa_value_grads(f, scores, m):
+    ts = [Tensor(s.copy(), requires_grad=True) for s in scores]
+    FLOPS.reset()
+    loss, per_scale = f(ts, Tensor(m))
+    flops = FLOPS.report()
+    backward(loss)
+    return loss.item(), [float(p.item()) for p in per_scale], [t.grad for t in ts], flops
+
+
+class TestFusedAlignmentOps:
+    """cosine_scores and msa_loss against the op chains they replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cosine_scores_match_reference(self, seed):
+        feats, auds = alignment_inputs(seed)
+        for x, y in zip(feats, auds):
+            val, grads, flops = cosine_value_grads(cosine_scores, x, y)
+            ref_val, ref_grads, ref_flops = cosine_value_grads(ref_cosine_scores, x, y)
+            assert val.tobytes() == ref_val.tobytes()
+            for g, rg in zip(grads, ref_grads):
+                np.testing.assert_allclose(g, rg, rtol=1e-12, atol=1e-12)
+            assert flops == ref_flops
+
+    def test_cosine_scores_zero_norm_feature_pixel_and_audio(self):
+        feats, auds = alignment_inputs(4, grids=((3, 3, 4),))
+        x, y = feats[0], auds[0]
+        x[0, :, 1, 2] = 0.0      # exactly zero
+        x[1, :, 0, 0] = 1e-170   # squares underflow, so the norm is 0 there too
+        y[1] = 0.0               # a silent frame's audio state
+        val, grads, _ = cosine_value_grads(cosine_scores, x, y)
+        ref_val, ref_grads, _ = cosine_value_grads(ref_cosine_scores, x, y)
+        assert val.tobytes() == ref_val.tobytes()
+        assert val[0, 0, 1, 2] == 0.5
+        for g, rg in zip(grads, ref_grads):
+            assert np.all(np.isfinite(g))
+            np.testing.assert_allclose(g, rg, rtol=1e-12, atol=1e-12)
+
+    def test_cosine_scores_grad_check_every_coordinate(self):
+        feats, auds = alignment_inputs(5, grids=((3, 2, 3),))
+        x, y = Tensor(feats[0], requires_grad=True), Tensor(auds[0], requires_grad=True)
+        w = Tensor(RngState(6).uniform((2, 1, 2, 3), -1, 1))
+        rep = grad_check(lambda t: T.tsum(T.mul(cosine_scores(t, y, 0.5), w)), x)
+        assert rep.passed and rep.n_checked == x.size, rep.failures[:3]
+        rep = grad_check(lambda t: T.tsum(T.mul(cosine_scores(x, t, 0.5), w)), y)
+        assert rep.passed and rep.n_checked == y.size, rep.failures[:3]
+
+    def test_cosine_scores_rejects_audio_that_is_not_one_vector_per_frame(self):
+        with pytest.raises(DimensionError):
+            cosine_scores(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones((1, 3, 1, 1))), 0.1)
+
+    @pytest.mark.parametrize("mask_hw", [(16, 16), (9, 12)])
+    def test_msa_loss_matches_reference(self, mask_hw):
+        rng = RngState(sum(mask_hw))
+        scores = [rng.uniform((2, 1, h, w), 0.0, 1.0) for h, w in ((2, 2), (4, 3), (8, 8))]
+        scores[0][0, 0, 0, 0] = 1.0 - 1e-9   # inside the clamp band
+        m = (rng.uniform((2, 1) + mask_hw, 0, 1) > 0.5).astype(float)
+        loss, per, grads, flops = msa_value_grads(msa_loss, scores, m)
+        ref_loss, ref_per, ref_grads, ref_flops = msa_value_grads(ref_msa, scores, m)
+        assert loss == ref_loss and per == ref_per
+        for g, rg in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, rg, rtol=1e-12, atol=1e-12)
+        assert flops == ref_flops
+
+    def test_msa_loss_grad_check_every_coordinate(self):
+        rng = RngState(7)
+        fixed = Tensor(rng.uniform((2, 1, 2, 2), 0.1, 0.9))
+        x = Tensor(rng.uniform((2, 1, 3, 4), 0.1, 0.9), requires_grad=True)
+        mask = Tensor((rng.uniform((2, 1, 7, 8), 0, 1) > 0.5).astype(float))
+        rep = grad_check(lambda t: msa_loss([fixed, t], mask)[0], x)
+        assert rep.passed and rep.n_checked == x.size, rep.failures[:3]
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
+    def test_msa_loss_refuses_non_binary_mask(self, bad):
+        m = np.ones((1, 1, 4, 4))
+        m[0, 0, 1, 1] = bad
+        with pytest.raises(ContractError, match="binary"):
+            msa_loss([Tensor(np.full((1, 1, 2, 2), 0.5))], Tensor(m))
+
+    def test_msa_loss_rejects_scores_that_do_not_upsample_to_the_mask(self):
+        m = Tensor(np.ones((2, 1, 4, 4)))
+        for shape in ((1, 1, 2, 2), (2, 1, 5, 4), (2, 2, 2, 2)):
+            with pytest.raises(DimensionError):
+                msa_loss([Tensor(np.full(shape, 0.5))], m)
+        with pytest.raises(ContractError):
+            msa_loss([], m)
+
+    def test_one_node_per_scale_and_no_full_resolution_node(self):
+        rng = RngState(5)
+        logits = Tensor(rng.uniform((2, 1, 16, 16), -2, 2), requires_grad=True)
+        feats, auds = alignment_inputs(8)
+        feats = [Tensor(f, requires_grad=True) for f in feats]
+        auds = [AudioState(Tensor(a, requires_grad=True)) for a in auds]
+        y = Tensor((rng.uniform((2, 1, 16, 16), 0, 1) > 0.7).astype(float))
+        rep = total_loss(logits, feats, auds, y)
+        order = topo_order(rep.loss)
+        nodes = [t for t in order if t._parents]
+        assert sorted(t.op for t in nodes) == sorted(
+            ["dice_loss", "bce_loss", "add", "msa_loss", "mul", "add"] + ["cosine_scores"] * 3)
+        scores = [t for t in nodes if t.op == "cosine_scores"]
+        assert [t._parents for t in scores] == [(f, a.value) for f, a in zip(feats, auds)]
+        assert [t for t in nodes if t.op == "msa_loss"][0]._parents == tuple(scores)
+        full_res = [t for t in order if t.shape[2:] == (16, 16)]
+        assert full_res == [logits]
 
 
 class TestTotalLoss:
@@ -276,7 +423,7 @@ class TestTotalLoss:
         order = topo_order(rep.loss)
         assert not {id(f) for f in feats} & {id(t) for t in order}
         assert {t.op for t in order}.isdisjoint(
-            {"sqrt", "sigmoid", "bilinear_upsample", "bce_on_probs"})
+            {"cosine_scores", "msa_loss"})
         backward(rep.loss)
         assert logits.grad is not None and all(f.grad is None for f in feats)
         # the logged alignment term is the one seg+msa trains on

@@ -110,6 +110,22 @@ class TestActivations:
         y = T.sigmoid(Tensor([-1000.0, 1000.0]))
         np.testing.assert_allclose(y.data, [0.0, 1.0], atol=1e-300)
 
+    def test_sigmoid_data_bit_equal_to_two_branch_form(self):
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        edge = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0, 1e308, -1e308])
+        rng = RngState(17)
+        for x in (edge, rng.uniform((8, 1, 9, 7), -40, 40), rng.normal((4, 3, 5, 5), 3.0)):
+            got = T._sigmoid_data(x)
+            ref = two_branch(x)
+            assert got.tobytes() == ref.tobytes()
+
     def test_softplus_matches_log1pexp(self):
         x = np.array([-40.0, -1.0, 0.0, 1.0, 40.0])
         np.testing.assert_allclose(T.softplus(Tensor(x)).data, np.logaddexp(0, x))
