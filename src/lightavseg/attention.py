@@ -39,14 +39,13 @@ class AttentionParams:
 
 
 def make_attention_params(channels: int, d: int, rng: RngState,
-                          params: dict | None = None,
-                          prefix: str = "xattn") -> AttentionParams:
+                          params: dict | None = None) -> AttentionParams:
     params = params if params is not None else {}
     return AttentionParams(
-        query=Linear1x1(f"{prefix}.query", channels, d, rng, params),
-        key=Linear1x1(f"{prefix}.key", channels, d, rng, params),
-        value=Linear1x1(f"{prefix}.value", channels, d, rng, params),
-        out=Linear1x1(f"{prefix}.out", d, channels, rng, params),
+        query=Linear1x1("xattn.query", channels, d, rng, params),
+        key=Linear1x1("xattn.key", channels, d, rng, params),
+        value=Linear1x1("xattn.value", channels, d, rng, params),
+        out=Linear1x1("xattn.out", d, channels, rng, params),
         d=d)
 
 

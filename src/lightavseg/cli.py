@@ -39,6 +39,17 @@ def read_tensor_file(path) -> np.ndarray:
         return read_array(f, "tensor")
 
 
+def _grid_list(text: str) -> list[int]:
+    """--grids: a comma list of positive integers."""
+    try:
+        grids = [int(g) for g in text.split(",")]
+        if min(grids) >= 1:
+            return grids
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"want positive integers like 28,56, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lightavseg",
                                      description=__doc__.splitlines()[0])
@@ -88,8 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="FLOP/time scaling sweeps")
     p_bench.add_argument("--module", type=str, required=True,
                          choices=["fusion", "xattn", "model"])
-    p_bench.add_argument("--grids", type=str, default=None,
-                         help="comma list of square grid sizes")
+    p_bench.add_argument("--grids", type=_grid_list, default=None,
+                         help="comma list of square grid sizes (positive integers); "
+                              "--module model uses the first as the input size")
     p_bench.add_argument("--channels", type=int, default=None)
     p_bench.add_argument("--out", type=str, default=None, help="output directory")
 
@@ -178,11 +190,9 @@ def _cmd_bench(args) -> int:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     if args.module == "model":
-        from .backbones import BackboneConfig
         from .model import ModelConfig, SegModel
-        hw = int(args.grids.split(",")[0]) if args.grids else 224
-        model = SegModel(ModelConfig(backbone=BackboneConfig(input_hw=hw)),
-                         RngState(0))
+        hw = args.grids[0] if args.grids else 224
+        model = SegModel(ModelConfig(), RngState(0))
         report = component_report(model, hw=hw)
         csv_lines = ["module,N,flops,wall_ms"]
         for comp in report["components"]:
@@ -191,10 +201,7 @@ def _cmd_bench(args) -> int:
         csv_text = "\n".join(csv_lines) + "\n"
         json_text = json.dumps(report, sort_keys=True, indent=1)
     else:
-        if args.grids:
-            grids = [int(g) for g in args.grids.split(",")]
-        else:
-            grids = [28, 56, 112, 224] if args.module == "fusion" else [14, 28, 56]
+        grids = args.grids or ([28, 56, 112, 224] if args.module == "fusion" else [14, 28, 56])
         report = scaling_sweep(args.module, grids, channels=args.channels)
         csv_text = report.to_csv()
         json_text = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)

@@ -53,7 +53,7 @@ def audio_state_update(a_prev_dec: AudioState, a_enc: AudioState, v_enc: Tensor,
         pooled = global_max_pool(v_enc)
     with FLOPS.scope("fusion.state"):
         gate = hsigmoid(p.gate_map(pooled))
-        return AudioState(mul(fused, gate), stage=a_enc.stage)
+        return AudioState(mul(fused, gate))
 
 
 def visual_inject(v_enc: Tensor, a_hat: AudioState, p: DecoderStageParams) -> Tensor:
@@ -68,8 +68,7 @@ class FusionDecoder:
     """Recurrent-audio top-down decoder emitting segmentation logits."""
 
     def __init__(self, stage_channels, rng: RngState, params: dict,
-                 interact_stages: int = 3,
-                 enable_cmfd: bool = True, prefix: str = "decoder"):
+                 interact_stages: int = 3, enable_cmfd: bool = True):
         if interact_stages > len(stage_channels):
             raise ContractError(
                 f"cannot interact at {interact_stages} of {len(stage_channels)} stages")
@@ -84,20 +83,20 @@ class FusionDecoder:
         for i in range(n - 1, first - 1, -1):
             c = self.channels[i]
             self.stage_params[i] = DecoderStageParams(
-                proj_prev=Linear1x1(f"{prefix}.s{i + 1}.proj_prev", prev_width, c, rng, params),
-                proj_enc=Linear1x1(f"{prefix}.s{i + 1}.proj_enc", c, c, rng, params),
-                fuse_map=Linear1x1(f"{prefix}.s{i + 1}.fuse", 2 * c, c, rng, params),
-                gate_map=Linear1x1(f"{prefix}.s{i + 1}.gate", c, c, rng, params),
-                inject_map=Linear1x1(f"{prefix}.s{i + 1}.inject", c, c, rng, params))
+                proj_prev=Linear1x1(f"decoder.s{i + 1}.proj_prev", prev_width, c, rng, params),
+                proj_enc=Linear1x1(f"decoder.s{i + 1}.proj_enc", c, c, rng, params),
+                fuse_map=Linear1x1(f"decoder.s{i + 1}.fuse", 2 * c, c, rng, params),
+                gate_map=Linear1x1(f"decoder.s{i + 1}.gate", c, c, rng, params),
+                inject_map=Linear1x1(f"decoder.s{i + 1}.inject", c, c, rng, params))
             prev_width = c
 
         # channel-aligning maps for the top-down merges (deep -> shallow)
         self.align = {}
         for i in range(n - 1, 0, -1):
-            self.align[i] = Linear1x1(f"{prefix}.align{i + 1}to{i}",
+            self.align[i] = Linear1x1(f"decoder.align{i + 1}to{i}",
                                       self.channels[i], self.channels[i - 1], rng, params)
         # one foreground plane, the only output the losses and metrics read
-        self.head = Linear1x1(f"{prefix}.head", self.channels[0], 1, rng, params)
+        self.head = Linear1x1("decoder.head", self.channels[0], 1, rng, params)
 
     def forward(self, enc: EncoderOutput, out_hw) -> SegOutput:
         """Decode the fused pyramid to logits at ``out_hw``."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backbones import AudioState, VisualBackbone, project_audio_to_stage
+from .backbones import AudioState, VisualBackbone
 from .layers import Linear1x1
 from .tensor import (
     FLOPS, ContractError, RngState, Tensor, broadcast_add, global_max_pool,
@@ -51,7 +51,7 @@ def har_step(a_prev: AudioState, v: Tensor, p: EncoderStageParams) -> AudioState
     with FLOPS.scope("fusion.state"):
         gate = hsigmoid(p.gate_map(pooled))
         refined = mul(p.audio_map(a_prev.value), gate)
-    return AudioState(refined, stage=a_prev.stage)
+    return AudioState(refined)
 
 
 def agve_step(v: Tensor, a: AudioState) -> Tensor:
@@ -63,22 +63,20 @@ def agve_step(v: Tensor, a: AudioState) -> Tensor:
 class ReciprocalEncoder:
     """Visual stages interleaved with audio refinement and re-injection."""
 
-    def __init__(self, backbone: VisualBackbone, rng: RngState, params: dict,
-                 enable_har: bool = True, enable_agve: bool = True,
-                 prefix: str = "encoder"):
+    def __init__(self, backbone: VisualBackbone, audio_channels: int, stage_channels: tuple,
+                 rng: RngState, params: dict, enable_har: bool = True,
+                 enable_agve: bool = True):
         self.backbone = backbone
         self.enable_har = enable_har
         self.enable_agve = enable_agve
-        cfg = backbone.cfg
         self.projections = []
         self.stage_params = []
-        c_prev = cfg.audio_channels
-        for i, c in enumerate(cfg.stage_channels):
-            self.projections.append(
-                Linear1x1(f"{prefix}.proj{i + 1}", c_prev, c, rng, params))
+        c_prev = audio_channels
+        for i, c in enumerate(stage_channels):
+            self.projections.append(Linear1x1(f"encoder.proj{i + 1}", c_prev, c, rng, params))
             self.stage_params.append(EncoderStageParams(
-                audio_map=Linear1x1(f"{prefix}.audio{i + 1}", c, c, rng, params),
-                gate_map=Linear1x1(f"{prefix}.gate{i + 1}", c, c, rng, params)))
+                audio_map=Linear1x1(f"encoder.audio{i + 1}", c, c, rng, params),
+                gate_map=Linear1x1(f"encoder.gate{i + 1}", c, c, rng, params)))
             c_prev = c
 
     def forward(self, frames: Tensor, a0: AudioState) -> EncoderOutput:
@@ -89,7 +87,7 @@ class ReciprocalEncoder:
         for i in range(len(self.backbone.stages)):
             v = self.backbone.stage_forward(i, x)
             with section("encoder_fusion"):
-                audio = project_audio_to_stage(audio, self.projections[i], stage=i + 1)
+                audio = AudioState(self.projections[i](audio.value))
                 if self.enable_har:
                     audio = har_step(audio, v, self.stage_params[i])
                 enhanced_v = agve_step(v, audio) if self.enable_agve else v

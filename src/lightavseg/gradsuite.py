@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import dense_attention, fusion_stage_params, make_attention_params
-from .backbones import AudioState, BackboneConfig
+from .backbones import AudioState
 from .decoder import audio_state_update, visual_inject
 from .encoder import agve_step, har_step
 from .losses import total_loss
@@ -35,9 +35,7 @@ def _sq(y):
 
 
 def tiny_model(seed: int = 0) -> SegModel:
-    cfg = ModelConfig(backbone=BackboneConfig(
-        stage_channels=(4, 5, 6, 7), audio_channels=8, input_hw=32,
-        stem_channels=3))
+    cfg = ModelConfig(stage_channels=(4, 5, 6, 7), audio_channels=8, stem_channels=3)
     return SegModel(cfg, RngState(seed))
 
 

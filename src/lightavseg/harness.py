@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .audio import log_mel
-from .backbones import BackboneConfig
 from .data import DatasetSpec, generate_dataset
 from .losses import alignment_maps, foreground_mask, fscore, miou, total_loss
 from .model import ModelConfig, SegModel
@@ -87,15 +86,7 @@ class TrainConfig:
             raise ContractError(f"unknown loss variant {self.loss_variant!r}")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            backbone=BackboneConfig(stage_channels=self.stage_channels,
-                                    audio_channels=self.audio_channels,
-                                    input_hw=self.hw,
-                                    stem_channels=self.stem_channels),
-            interact_stages=self.interact_stages,
-            enable_har=self.enable_har,
-            enable_agve=self.enable_agve,
-            enable_cmfd=self.enable_cmfd)
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(n_scenes=self.n_scenes, hw=self.hw,
@@ -379,6 +370,9 @@ def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
              threshold: float = 0.5, on_scene=None) -> dict:
     """Mean IoU / F-score over scenes; per-scene table included.
 
+    ``mute_audio`` runs the muted forward (``mel=None``) without computing the
+    log-mel at all.
+
     ``on_scene(i, scene, seg)``, if given, is called inside ``no_grad`` with
     each scene's forward output, so a caller can read more from the one
     forward instead of running the model again.
@@ -387,9 +381,9 @@ def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
         raise ContractError("evaluation set is empty")
     per_scene = []
     for i, scene in enumerate(scenes):
-        mel = log_mel(scene.waveform).windows
+        mel = None if mute_audio else log_mel(scene.waveform).windows
         with no_grad():
-            seg, _ = model.forward(scene.frames, mel, mute_audio=mute_audio)
+            seg, _ = model.forward(scene.frames, mel)
             if on_scene is not None:
                 on_scene(i, scene, seg)
         probs = _sigmoid_data(seg.logits.data)

@@ -191,6 +191,7 @@ def cosine_scores(feature: Tensor, audio: Tensor, tau: float, eps: float = 1e-6)
 def alignment_maps(features: list, audio: list, tau: float, eps: float = 1e-6) -> list:
     """Per-scale sharpened cosine-similarity scores in (0, 1), deepest first.
 
+    ``audio`` holds one ``AudioState`` per feature scale, of the same width.
     The scores keep each scale's resolution; ``msa_loss`` upsamples them
     inside its node, and a no-grad caller that wants full-resolution maps
     calls ``bilinear_upsample`` itself.
@@ -200,14 +201,7 @@ def alignment_maps(features: list, audio: list, tau: float, eps: float = 1e-6) -
     if len(features) != len(audio):
         raise ContractError(
             f"{len(features)} feature scales but {len(audio)} audio states")
-    scores = []
-    for f, a in zip(features, audio):
-        a_val = a.value if hasattr(a, "value") else a
-        if f.shape[1] != a_val.shape[1]:
-            raise DimensionError(
-                f"feature width {f.shape[1]} != audio width {a_val.shape[1]}")
-        scores.append(cosine_scores(f, a_val, tau, eps))
-    return scores
+    return [cosine_scores(f, a.value, tau, eps) for f, a in zip(features, audio)]
 
 
 def msa_loss(scores: list, mask: Tensor):

@@ -2,23 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .backbones import AudioEmbed, AudioState, BackboneConfig, VisualBackbone
+from .backbones import AudioEmbed, AudioState, VisualBackbone
 from .decoder import FusionDecoder, SegOutput
 from .encoder import EncoderOutput, ReciprocalEncoder
-from .tensor import ContractError, RngState, Tensor
+from .tensor import ContractError, DimensionError, RngState, Tensor
 
 
 @dataclass
 class ModelConfig:
-    backbone: BackboneConfig = field(default_factory=BackboneConfig)
+    stage_channels: tuple = (16, 32, 64, 128)  # visual widths at strides 4/8/16/32
+    audio_channels: int = 128     # audio embedding width
+    stem_channels: int = 8
     interact_stages: int = 3      # decoder interaction / alignment supervision depth
     enable_har: bool = True       # dynamic (visually gated) audio state in the encoder
     enable_agve: bool = True      # broadcast audio bias into the visual stream
     enable_cmfd: bool = True      # decoder-side audio recurrence and injection
+
+    def __post_init__(self):
+        self.stage_channels = tuple(self.stage_channels)
+        if len(self.stage_channels) != 4:
+            raise DimensionError(
+                f"stage_channels has {len(self.stage_channels)} entries for 4 stages")
 
 
 class SegModel:
@@ -31,12 +39,14 @@ class SegModel:
     def __init__(self, cfg: ModelConfig, rng: RngState):
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
-        self.backbone = VisualBackbone(cfg.backbone, rng, self.params)
-        self.audio_embed = AudioEmbed(cfg.backbone, rng, self.params)
-        self.encoder = ReciprocalEncoder(self.backbone, rng, self.params,
+        self.backbone = VisualBackbone(cfg.stem_channels, cfg.stage_channels, rng,
+                                       self.params)
+        self.audio_embed = AudioEmbed(cfg.audio_channels, rng, self.params)
+        self.encoder = ReciprocalEncoder(self.backbone, cfg.audio_channels,
+                                         cfg.stage_channels, rng, self.params,
                                          enable_har=cfg.enable_har,
                                          enable_agve=cfg.enable_agve)
-        self.decoder = FusionDecoder(cfg.backbone.stage_channels, rng, self.params,
+        self.decoder = FusionDecoder(cfg.stage_channels, rng, self.params,
                                      interact_stages=cfg.interact_stages,
                                      enable_cmfd=cfg.enable_cmfd)
 
@@ -62,22 +72,20 @@ class SegModel:
 
     # -- forward ------------------------------------------------------------
 
-    def initial_audio_state(self, mel: Tensor | None, batch: int,
-                            mute_audio: bool = False) -> AudioState:
-        if mute_audio or mel is None:
-            return AudioState(
-                Tensor(np.zeros((batch, self.cfg.backbone.audio_channels, 1, 1))),
-                stage=0)
+    def initial_audio_state(self, mel: Tensor | None, batch: int) -> AudioState:
+        """The embedded audio, or a zero state when ``mel`` is None (muted)."""
+        if mel is None:
+            return AudioState(Tensor(np.zeros((batch, self.cfg.audio_channels, 1, 1))))
         if mel.shape[0] != batch:
             raise ContractError(
                 f"{mel.shape[0]} audio windows for a visual batch of {batch} frames")
         return self.audio_embed(mel)
 
-    def forward(self, frames: Tensor, mel: Tensor | None,
-                mute_audio: bool = False) -> tuple[SegOutput, EncoderOutput]:
+    def forward(self, frames: Tensor, mel: Tensor | None) -> tuple[SegOutput, EncoderOutput]:
+        """Segment ``frames``; ``mel=None`` is the muted forward (zero audio state)."""
         if frames.ndim != 4:
             raise ContractError(f"frames must be (B, C, H, W), got {frames.shape}")
-        a0 = self.initial_audio_state(mel, frames.shape[0], mute_audio=mute_audio)
+        a0 = self.initial_audio_state(mel, frames.shape[0])
         enc = self.encoder.forward(frames, a0)
         seg = self.decoder.forward(enc, (frames.shape[2], frames.shape[3]))
         return seg, enc

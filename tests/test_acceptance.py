@@ -237,13 +237,11 @@ class TestDeterminismPersistence:
 
 class TestAblationDirection:
     def test_har_vs_static_changes_outputs(self):
-        from lightavseg.backbones import BackboneConfig
         from lightavseg.model import ModelConfig
 
         def build(enable_har):
-            cfg = ModelConfig(backbone=BackboneConfig(
-                stage_channels=(4, 5, 6, 7), audio_channels=8, stem_channels=3),
-                enable_har=enable_har)
+            cfg = ModelConfig(stage_channels=(4, 5, 6, 7), audio_channels=8, stem_channels=3,
+                              enable_har=enable_har)
             return SegModel(cfg, RngState(5))
 
         rng = RngState(6)

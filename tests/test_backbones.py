@@ -1,72 +1,76 @@
 """Backbones: pyramid shape contract, audio embedding purity, FLOP budget."""
 
+import math
+
 import numpy as np
 import pytest
 
-from lightavseg.backbones import (
-    AudioEmbed, AudioState, BackboneConfig, FeaturePyramid, VisualBackbone,
-    project_audio_to_stage,
-)
+from lightavseg.backbones import AudioEmbed, AudioState, VisualBackbone
 from lightavseg.layers import Linear1x1
+from lightavseg.model import ModelConfig
 from lightavseg.tensor import FLOPS, DimensionError, RngState, Tensor
 
 
 def make_backbone(seed=0, **kw):
-    cfg = BackboneConfig(**kw)
+    cfg = ModelConfig(**kw)
     params = {}
-    return VisualBackbone(cfg, RngState(seed), params), params, cfg
+    return VisualBackbone(cfg.stem_channels, cfg.stage_channels, RngState(seed),
+                          params), params, cfg
+
+
+def pyramid(bb, frames):
+    """Stage outputs, shallow to deep, from the stem and stage walk."""
+    x = bb.stem_forward(frames)
+    stages = []
+    for i in range(len(bb.stages)):
+        x = bb.stage_forward(i, x)
+        stages.append(x)
+    return stages
 
 
 class TestVisualBackbone:
     def test_224_input_gives_56_28_14_7(self):
         bb, _, _ = make_backbone()
-        pyr = bb.forward(Tensor(RngState(1).uniform((1, 3, 224, 224), 0, 1)))
-        assert [t.shape[2] for t in pyr.stages] == [56, 28, 14, 7]
-        assert [t.shape[1] for t in pyr.stages] == [16, 32, 64, 128]
-        pyr.validate(224, 224)
+        stages = pyramid(bb, Tensor(RngState(1).uniform((1, 3, 224, 224), 0, 1)))
+        assert [t.shape[2] for t in stages] == [56, 28, 14, 7]
+        assert [t.shape[1] for t in stages] == [16, 32, 64, 128]
+        assert [t.shape[2:] for t in stages] == [(56, 56), (28, 28), (14, 14), (7, 7)]
 
     def test_ceil_rule_for_non_multiple_of_32(self):
         bb, _, _ = make_backbone()
-        pyr = bb.forward(Tensor(RngState(2).uniform((1, 3, 100, 60), 0, 1)))
-        pyr.validate(100, 60)
-        assert pyr.stages[0].shape[2:] == (25, 15)
-        assert pyr.stages[3].shape[2:] == (4, 2)
+        stages = pyramid(bb, Tensor(RngState(2).uniform((1, 3, 100, 60), 0, 1)))
+        assert [t.shape[2:] for t in stages] == [
+            (math.ceil(100 / 2 ** (i + 2)), math.ceil(60 / 2 ** (i + 2))) for i in range(4)]
+        assert stages[0].shape[2:] == (25, 15)
+        assert stages[3].shape[2:] == (4, 2)
 
     def test_zero_input_zero_bias_gives_zero(self):
         bb, _, _ = make_backbone()
-        pyr = bb.forward(Tensor(np.zeros((1, 3, 32, 32))))
-        for t in pyr.stages:
+        for t in pyramid(bb, Tensor(np.zeros((1, 3, 32, 32)))):
             np.testing.assert_array_equal(t.data, 0.0)
 
     def test_determinism_across_constructions(self):
         a, _, _ = make_backbone(seed=5)
         b, _, _ = make_backbone(seed=5)
         x = Tensor(RngState(3).uniform((1, 3, 64, 64), 0, 1))
-        np.testing.assert_array_equal(a.forward(x).stages[-1].data,
-                                      b.forward(x).stages[-1].data)
+        np.testing.assert_array_equal(pyramid(a, x)[-1].data, pyramid(b, x)[-1].data)
 
     def test_flop_budget_under_50M_for_224_frame(self):
         bb, _, _ = make_backbone()
         FLOPS.reset()
-        bb.forward(Tensor(RngState(4).uniform((1, 3, 224, 224), 0, 1)))
+        pyramid(bb, Tensor(RngState(4).uniform((1, 3, 224, 224), 0, 1)))
         assert FLOPS.madds("visual_backbone") < 50_000_000
 
     def test_channels_must_match_stage_count(self):
         with pytest.raises(DimensionError):
-            BackboneConfig(stage_channels=(8, 16), stages=4)
-
-    def test_pyramid_rejects_decreasing_channels(self):
-        pyr = FeaturePyramid([Tensor(np.zeros((1, 8, 16, 16))),
-                              Tensor(np.zeros((1, 4, 8, 8)))])
-        with pytest.raises(DimensionError):
-            pyr.validate(64, 64)
+            ModelConfig(stage_channels=(8, 16))
 
 
 class TestAudioEmbed:
     def make(self, seed=0):
-        cfg = BackboneConfig()
+        cfg = ModelConfig()
         params = {}
-        return AudioEmbed(cfg, RngState(seed), params), cfg
+        return AudioEmbed(cfg.audio_channels, RngState(seed), params), cfg
 
     def test_zero_spectrogram_zero_bias_gives_zero_state(self):
         emb, cfg = self.make()
@@ -77,7 +81,6 @@ class TestAudioEmbed:
         emb, cfg = self.make()
         state = emb(Tensor(RngState(1).uniform((5, 96, 64), -10, 0)))
         assert state.value.shape == (5, 128, 1, 1)
-        assert state.stage == 0
 
     def test_identical_windows_give_identical_rows(self):
         emb, _ = self.make()
@@ -102,17 +105,15 @@ class TestProjection:
         proj.weight.data[...] = np.eye(3)
         proj.bias.data[...] = 0.0
         a = AudioState(Tensor(RngState(1).uniform((2, 3, 1, 1))))
-        out = project_audio_to_stage(a, proj, stage=1)
-        np.testing.assert_array_equal(out.value.data, a.value.data)
-        assert out.stage == 1
+        out = proj(a.value)
+        np.testing.assert_array_equal(out.data, a.value.data)
 
     def test_zero_input_gives_bias(self):
         params = {}
         proj = Linear1x1("p", 3, 2, RngState(0), params)
         proj.bias.data[...] = [0.5, -0.25]
-        out = project_audio_to_stage(AudioState(Tensor(np.zeros((1, 3, 1, 1)))),
-                                     proj, stage=2)
-        np.testing.assert_allclose(out.value.data.ravel(), [0.5, -0.25])
+        out = proj(AudioState(Tensor(np.zeros((1, 3, 1, 1)))).value)
+        np.testing.assert_allclose(out.data.ravel(), [0.5, -0.25])
 
     def test_hand_2x2_projection(self):
         params = {}
@@ -120,9 +121,9 @@ class TestProjection:
         proj.weight.data[...] = [[1.0, 2.0], [3.0, -1.0]]
         proj.bias.data[...] = [0.0, 1.0]
         a = AudioState(Tensor(np.array([0.5, -1.0]).reshape(1, 2, 1, 1)))
-        out = project_audio_to_stage(a, proj, stage=1)
+        out = proj(a.value)
         # rows: 1*0.5 + 2*(-1) = -1.5; 3*0.5 - 1*(-1) + 1 = 3.5
-        np.testing.assert_allclose(out.value.data.ravel(), [-1.5, 3.5])
+        np.testing.assert_allclose(out.data.ravel(), [-1.5, 3.5])
 
     def test_audio_state_shape_contract(self):
         with pytest.raises(DimensionError):

@@ -73,6 +73,14 @@ class TestTrainCli:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "r").exists()
 
+    def test_three_stage_channels_fail_before_run_dir(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("stage_channels=4,5,6\nn_scenes=2\nhw=32\nsteps=1\n")
+        assert main(["train", "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "stage_channels" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--batch-size", "0"), ("--steps", "-3"), ("--log-every", "0"), ("--lr", "nan"),
     ])
@@ -238,6 +246,15 @@ class TestBenchCli:
                          "decoder_fusion", "seg_head"}
         assert report["unattributed_ms"] >= 0
         assert report["total_wall_ms"] >= max(c["wall_ms"] for c in report["components"])
+
+    @pytest.mark.parametrize("module,grids", [
+        ("model", "abc"), ("fusion", "28,x"), ("model", "-4"), ("model", "0"),
+    ])
+    def test_bad_grids_are_usage_errors(self, tmp_path, capsys, module, grids):
+        assert main(["bench", "--module", module, "--grids", grids,
+                     "--out", str(tmp_path / "b")]) == 2
+        assert "--grids" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
 
 class TestOtherCommands:

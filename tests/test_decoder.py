@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lightavseg.backbones import AudioState, BackboneConfig
+from lightavseg.backbones import AudioState
 from lightavseg.decoder import (
     DecoderStageParams, FusionDecoder, audio_state_update, visual_inject,
 )
@@ -98,9 +98,8 @@ class TestVisualInject:
 
 
 def tiny_model(seed=0, **flags):
-    cfg = ModelConfig(backbone=BackboneConfig(
-        stage_channels=(4, 5, 6, 7), audio_channels=8, input_hw=32,
-        stem_channels=3), **flags)
+    cfg = ModelConfig(stage_channels=(4, 5, 6, 7), audio_channels=8, stem_channels=3,
+                      **flags)
     return SegModel(cfg, RngState(seed))
 
 
@@ -127,11 +126,11 @@ class TestDecoderForward:
         # same decoder run with the audio recurrence disabled outright
         model = tiny_model()
         frames = Tensor(RngState(5).uniform((1, 3, 32, 32), 0, 1))
-        seg_muted, _ = model.forward(frames, None, mute_audio=True)
+        seg_muted, _ = model.forward(frames, None)
         model.decoder.enable_cmfd = False
         model.encoder.enable_har = False
         model.encoder.enable_agve = False
-        seg_visual, _ = model.forward(frames, None, mute_audio=True)
+        seg_visual, _ = model.forward(frames, None)
         np.testing.assert_array_equal(seg_muted.logits.data, seg_visual.logits.data)
 
     def test_recurrence_nondegenerate(self):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from lightavseg.backbones import AudioState, BackboneConfig, VisualBackbone
+from lightavseg.backbones import AudioState, VisualBackbone
 from lightavseg.encoder import (
     EncoderStageParams, ReciprocalEncoder, agve_step, har_step,
 )
 from lightavseg.layers import Linear1x1
+from lightavseg.model import ModelConfig
 from lightavseg.tensor import (
     FLOPS, ContractError, RngState, Tensor, grad_check, tsum, mul,
 )
@@ -105,13 +106,12 @@ class TestAgveStep:
         assert FLOPS.madds("fusion.interaction") == 0
 
 
-def make_encoder(seed=0, hw=32, channels=(4, 6, 8, 10), audio=8):
-    cfg = BackboneConfig(stage_channels=channels, audio_channels=audio,
-                         input_hw=hw, stem_channels=3)
+def make_encoder(seed=0, channels=(4, 6, 8, 10), audio=8):
+    cfg = ModelConfig(stage_channels=channels, audio_channels=audio, stem_channels=3)
     params = {}
     rng = RngState(seed)
-    bb = VisualBackbone(cfg, rng, params)
-    enc = ReciprocalEncoder(bb, rng, params)
+    bb = VisualBackbone(cfg.stem_channels, cfg.stage_channels, rng, params)
+    enc = ReciprocalEncoder(bb, cfg.audio_channels, cfg.stage_channels, rng, params)
     return enc, params, cfg
 
 
@@ -125,9 +125,10 @@ class TestEncoderForward:
         out = enc.forward(frames, a0)
         for s in out.audio_states:
             np.testing.assert_array_equal(s.value.data, 0.0)
-        plain = enc.backbone.forward(frames)
-        for got, want in zip(out.enhanced, plain.stages):
-            np.testing.assert_array_equal(got.data, want.data)
+        x = enc.backbone.stem_forward(frames)
+        for i, got in enumerate(out.enhanced):
+            x = enc.backbone.stage_forward(i, x)
+            np.testing.assert_array_equal(got.data, x.data)
 
     def test_single_stage_matches_hand_composition(self):
         enc, _, cfg = make_encoder()
@@ -137,9 +138,7 @@ class TestEncoderForward:
         # recompute stage 1 by hand from the same parameters
         x = enc.backbone.stem_forward(frames)
         v1 = enc.backbone.stage_forward(0, x)
-        from lightavseg.backbones import project_audio_to_stage
-        a1 = har_step(project_audio_to_stage(a0, enc.projections[0], 1), v1,
-                      enc.stage_params[0])
+        a1 = har_step(AudioState(enc.projections[0](a0.value)), v1, enc.stage_params[0])
         want = agve_step(v1, a1)
         np.testing.assert_array_equal(out.enhanced[0].data, want.data)
         np.testing.assert_array_equal(out.audio_states[0].value.data, a1.value.data)

@@ -16,7 +16,7 @@ from lightavseg.harness import (
     config_from_mapping, config_to_flat_text, evaluate, load_checkpoint,
     model_from_checkpoint, save_checkpoint, train,
 )
-from lightavseg.model import SegModel
+from lightavseg.model import ModelConfig, SegModel
 from lightavseg.tensor import ContractError, RngState, no_grad, parameter
 
 
@@ -104,6 +104,14 @@ class TestConfig:
         p = tmp_path_factory.mktemp("cfg") / "c.txt"
         p.write_text(config_to_flat_text(cfg))
         assert dataclasses.asdict(config_from_file(p)) == dataclasses.asdict(cfg)
+
+    def test_model_config_carries_every_model_field(self):
+        values = dict(stage_channels=(3, 4, 5, 6), audio_channels=9, stem_channels=2,
+                      interact_stages=2, enable_har=False, enable_agve=False,
+                      enable_cmfd=False)
+        assert set(values) == {f.name for f in dataclasses.fields(ModelConfig)}
+        assert all(getattr(ModelConfig(), k) != v for k, v in values.items())
+        assert dataclasses.asdict(TrainConfig(**values).model_config()) == values
 
     def test_lambda_alias_and_overrides(self, tmp_path):
         p = tmp_path / "c.txt"

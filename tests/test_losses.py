@@ -224,6 +224,16 @@ class TestAlignmentMaps:
         with pytest.raises(ContractError):
             self._maps_for([1.0, 0.0], [1.0, 0.0], tau=0.0)
 
+    def test_audio_width_mismatch_is_dimension_error(self):
+        with pytest.raises(DimensionError):
+            self._maps_for([1.0, 0.0, 2.0], [1.0, 0.0])
+
+    def test_scale_count_mismatch_rejected(self):
+        f = Tensor(np.ones((1, 2, 1, 1)))
+        a = AudioState(Tensor(np.ones((1, 2, 1, 1))))
+        with pytest.raises(ContractError, match="scales"):
+            alignment_maps([f, f], [a], 0.1)
+
 
 class TestMsaLoss:
     def test_perfect_match_below_clamp_floor(self):
