@@ -76,9 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        action="store_true", default=None)
         p.add_argument("--no-freeze-audio-backbone", dest="freeze_audio_backbone",
                        action="store_false")
-        p.add_argument("--no-har", dest="enable_har", action="store_false", default=None)
-        p.add_argument("--no-agve", dest="enable_agve", action="store_false", default=None)
-        p.add_argument("--no-cmfd", dest="enable_cmfd", action="store_false", default=None)
 
     p_train = sub.add_parser("train", help="run the training loop")
     add_config_flags(p_train)

@@ -29,6 +29,8 @@ from .audio import (  # noqa: F401  (log_mel stays reachable as data.log_mel)
 from .pngio import read_png, write_png
 from .tensor import ContractError, RngState, Tensor
 
+TONE_AMPLITUDE = 0.5  # peak of each scene's sine before noise
+
 
 class LoadError(ContractError):
     """A clip directory failed structural validation."""
@@ -42,7 +44,6 @@ class DatasetSpec:
     freq_table: dict = field(default_factory=lambda: {0: 800.0, 1: 2400.0})
     snr_db: float | None = None
     seed: int = 0
-    amplitude: float = 0.5
 
     def __post_init__(self):
         if set(self.freq_table) != {0, 1}:
@@ -119,7 +120,7 @@ def generate_scene(spec: DatasetSpec, index: int) -> Scene:
 
     freq = spec.freq_table[sounding]
     audio_rng = RngState(spec.seed, counter=pair * 4096 + 2048 + sounding)
-    wave = synth_tone(freq, float(t), spec.amplitude,
+    wave = synth_tone(freq, float(t), TONE_AMPLITUDE,
                       rng=audio_rng if spec.snr_db is not None else None,
                       snr_db=spec.snr_db)
     return Scene(

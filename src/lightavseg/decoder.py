@@ -1,7 +1,7 @@
 """Cross-modal fusion decoder.
 
 Top-down path over the pyramid, deepest stage first. At each of the deepest
-``interact_stages`` stages the decoder keeps a recurrent audio state: the
+``INTERACT_STAGES`` stages the decoder keeps a recurrent audio state: the
 previous decoder state and the stage's encoder state are channel-aligned,
 concatenated and fused through a ReLU-gated pointwise map, then reweighted by
 a hard-sigmoid gate computed from the max-pooled visual feature. The result is
@@ -21,10 +21,11 @@ from .backbones import AudioState
 from .encoder import EncoderOutput
 from .layers import Linear1x1
 from .tensor import (
-    FLOPS, ContractError, RngState, Tensor, add, bilinear_upsample,
-    broadcast_add, concat_channels, global_max_pool, hsigmoid, mul, relu,
-    section,
+    FLOPS, RngState, Tensor, add, bilinear_upsample, broadcast_add,
+    concat_channels, global_max_pool, hsigmoid, mul, relu, section,
 )
+
+INTERACT_STAGES = 3  # deepest stages with audio recurrence and alignment supervision
 
 
 @dataclass
@@ -67,20 +68,13 @@ def visual_inject(v_enc: Tensor, a_hat: AudioState, p: DecoderStageParams) -> Te
 class FusionDecoder:
     """Recurrent-audio top-down decoder emitting segmentation logits."""
 
-    def __init__(self, stage_channels, rng: RngState, params: dict,
-                 interact_stages: int = 3, enable_cmfd: bool = True):
-        if interact_stages > len(stage_channels):
-            raise ContractError(
-                f"cannot interact at {interact_stages} of {len(stage_channels)} stages")
+    def __init__(self, stage_channels, rng: RngState, params: dict):
         self.channels = tuple(stage_channels)
-        self.interact_stages = interact_stages
-        self.enable_cmfd = enable_cmfd
         n = len(self.channels)
-        first = n - interact_stages  # shallowest interacted stage index
 
         self.stage_params = {}
         prev_width = self.channels[-1]  # recurrence starts at the deepest state
-        for i in range(n - 1, first - 1, -1):
+        for i in range(n - 1, n - 1 - INTERACT_STAGES, -1):
             c = self.channels[i]
             self.stage_params[i] = DecoderStageParams(
                 proj_prev=Linear1x1(f"decoder.s{i + 1}.proj_prev", prev_width, c, rng, params),
@@ -100,26 +94,18 @@ class FusionDecoder:
 
     def forward(self, enc: EncoderOutput, out_hw) -> SegOutput:
         """Decode the fused pyramid to logits at ``out_hw``."""
-        n = len(self.channels)
-        first = n - self.interact_stages
-        out_h, out_w = out_hw
-
         feats, hats = [], []
         a_dec = enc.audio_states[-1]
         merged = None
-        for i in range(n - 1, -1, -1):
+        for i in reversed(range(len(self.channels))):
             v = enc.enhanced[i]
-            if i >= first:
-                if self.enable_cmfd:
-                    with section("decoder_fusion"):
-                        a_hat = audio_state_update(a_dec, enc.audio_states[i], v,
-                                                   self.stage_params[i])
-                        injected = visual_inject(v, a_hat, self.stage_params[i])
-                    a_dec = a_hat
-                else:
-                    a_hat, injected = enc.audio_states[i], v
+            if i in self.stage_params:  # one of the deepest INTERACT_STAGES
+                with section("decoder_fusion"):
+                    a_dec = audio_state_update(a_dec, enc.audio_states[i], v,
+                                               self.stage_params[i])
+                    injected = visual_inject(v, a_dec, self.stage_params[i])
                 feats.append(injected)
-                hats.append(a_hat)
+                hats.append(a_dec)
             else:
                 injected = v
             with section("seg_head"):
@@ -129,5 +115,5 @@ class FusionDecoder:
                     up = bilinear_upsample(merged, v.shape[2], v.shape[3])
                     merged = add(self.align[i + 1](up), injected)
         with section("seg_head"):
-            logits = bilinear_upsample(self.head(merged), out_h, out_w)
+            logits = bilinear_upsample(self.head(merged), *out_hw)
         return SegOutput(logits=logits, per_stage_features=feats, audio_states=hats)

@@ -64,11 +64,8 @@ class ReciprocalEncoder:
     """Visual stages interleaved with audio refinement and re-injection."""
 
     def __init__(self, backbone: VisualBackbone, audio_channels: int, stage_channels: tuple,
-                 rng: RngState, params: dict, enable_har: bool = True,
-                 enable_agve: bool = True):
+                 rng: RngState, params: dict):
         self.backbone = backbone
-        self.enable_har = enable_har
-        self.enable_agve = enable_agve
         self.projections = []
         self.stage_params = []
         c_prev = audio_channels
@@ -87,10 +84,9 @@ class ReciprocalEncoder:
         for i in range(len(self.backbone.stages)):
             v = self.backbone.stage_forward(i, x)
             with section("encoder_fusion"):
-                audio = AudioState(self.projections[i](audio.value))
-                if self.enable_har:
-                    audio = har_step(audio, v, self.stage_params[i])
-                enhanced_v = agve_step(v, audio) if self.enable_agve else v
+                audio = har_step(AudioState(self.projections[i](audio.value)), v,
+                                 self.stage_params[i])
+                enhanced_v = agve_step(v, audio)
             enhanced.append(enhanced_v)
             states.append(audio)
             x = enhanced_v

@@ -56,10 +56,6 @@ class TrainConfig:
     stage_channels: tuple = (16, 32, 64, 128)
     audio_channels: int = 128
     stem_channels: int = 8
-    interact_stages: int = 3
-    enable_har: bool = True
-    enable_agve: bool = True
-    enable_cmfd: bool = True
     # synthetic dataset
     hw: int = 64
     n_scenes: int = 64
@@ -72,18 +68,23 @@ class TrainConfig:
     def __post_init__(self):
         self.stage_channels = tuple(int(c) for c in self.stage_channels)
         # written so that NaN fails every comparison
-        if not 0 < self.lr < math.inf:
-            raise ContractError(f"lr must be positive and finite, got {self.lr}")
-        for name in ("lam", "tau"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ContractError(
-                    f"{name} must be non-negative and finite, got {getattr(self, name)}")
-        for name, low in (("batch_size", 1), ("steps", 0), ("n_scenes", 1), ("hw", 1),
-                          ("log_every", 1), ("ckpt_every", 0)):
+        for name, ok, want in (
+                ("lr", 0 < self.lr < math.inf, "positive and finite"),
+                ("tau", 0 < self.tau < math.inf, "positive and finite"),
+                ("lam", 0 <= self.lam < math.inf, "non-negative and finite"),
+                ("weight_decay", abs(self.weight_decay) < math.inf, "finite"),
+                ("snr_db", self.snr_db is None or abs(self.snr_db) < math.inf,
+                 "finite or none")):
+            if not ok:
+                raise ContractError(f"{name} must be {want}, got {getattr(self, name)}")
+        for name, low in (("batch_size", 1), ("steps", 0), ("seed", 0), ("n_scenes", 1),
+                          ("hw", 1), ("frames_per_scene", 1), ("log_every", 1),
+                          ("ckpt_every", 0)):
             if not getattr(self, name) >= low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.loss_variant not in ("seg", "seg+msa"):
             raise ContractError(f"unknown loss variant {self.loss_variant!r}")
+        self.model_config()  # ModelConfig range-checks the model fields
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
@@ -405,16 +406,16 @@ def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
 def alignment_separation(model: SegModel, scenes: list, tau: float = 0.1) -> dict:
     """Mean finest-scale alignment score over foreground vs background pixels."""
     fg_vals, bg_vals = [], []
-    for scene in scenes:
-        mel = log_mel(scene.waveform).windows
-        with no_grad():
-            seg, _ = model.forward(scene.frames, mel)
-            scores = alignment_maps(seg.per_stage_features, seg.audio_states, tau)
-            # shallowest supervised scale
-            finest = bilinear_upsample(scores[-1], *scene.frames.shape[2:]).data
+
+    def collect(i, scene, seg):
+        scores = alignment_maps(seg.per_stage_features, seg.audio_states, tau)
+        # shallowest supervised scale
+        finest = bilinear_upsample(scores[-1], *scene.frames.shape[2:]).data
         mask = foreground_mask(scene.masks).data > 0.5
         fg_vals.append(finest[mask])
         bg_vals.append(finest[~mask])
+
+    evaluate(model, scenes, on_scene=collect)
     fg = float(np.concatenate(fg_vals).mean())
     bg = float(np.concatenate(bg_vals).mean())
     return {"fg_mean": fg, "bg_mean": bg, "separation": fg - bg}

@@ -24,6 +24,8 @@ from .tensor import (
 )
 
 PROB_EPS = 1e-7
+DICE_SMOOTH = 1.0
+COSINE_EPS = 1e-6
 FSCORE_BETA_SQ = 0.3
 
 
@@ -77,11 +79,11 @@ def _mask_data(x: Tensor, mask: Tensor, name: str) -> np.ndarray:
     return mask.data
 
 
-def dice_loss(logits: Tensor, mask: Tensor, smooth: float = 1.0) -> Tensor:
+def dice_loss(logits: Tensor, mask: Tensor) -> Tensor:
     """Soft Dice with +1 smoothing, computed per frame and averaged.
 
-    With p = sigmoid(x), per frame D = sum p + sum m + smooth and
-    frac = (2 sum p*m + smooth) / D; the gradient is
+    With p = sigmoid(x), per frame D = sum p + sum m + DICE_SMOOTH and
+    frac = (2 sum p*m + DICE_SMOOTH) / D; the gradient is
     (frac - 2m) / (B * D) * p * (1 - p).
     """
     m = _mask_data(logits, mask, "dice")
@@ -91,8 +93,8 @@ def dice_loss(logits: Tensor, mask: Tensor, smooth: float = 1.0) -> Tensor:
     axes = tuple(range(1, x.ndim))
     inter = (p * m).sum(axis=axes, keepdims=True)
     denom = p.sum(axis=axes, keepdims=True) + m.sum(axis=axes, keepdims=True)
-    denom += smooth
-    frac = (inter * 2.0 + smooth) / denom
+    denom += DICE_SMOOTH
+    frac = (inter * 2.0 + DICE_SMOOTH) / denom
     out = (1.0 - frac).sum().reshape(1) * (1.0 / batch)
     FLOPS.add(elems=5 * x.size + 7 * batch + 1)
 
@@ -142,15 +144,15 @@ def bce_loss(logits: Tensor, mask: Tensor) -> Tensor:
 # node, so no full-resolution map is a graph node or lives until backward.
 # ---------------------------------------------------------------------------
 
-def cosine_scores(feature: Tensor, audio: Tensor, tau: float, eps: float = 1e-6) -> Tensor:
+def cosine_scores(feature: Tensor, audio: Tensor, tau: float) -> Tensor:
     """sigmoid(cos(f, a) / tau) per pixel, as one node.
 
     With v = f / (||f|| + eps) and b = a / (||a|| + eps) (norms over
-    channels), the score is sigmoid(sum_c v b / tau). The forward runs the
-    op chain's own expressions (l2_normalize twice, mul, sum, mul by 1/tau,
-    sigmoid), so its values and FLOPs are that chain's. The backward is
-    closed-form for both inputs; where a norm is 0 it passes no gradient
-    through that norm, as the chain's sqrt does.
+    channels, eps = COSINE_EPS), the score is sigmoid(sum_c v b / tau). The
+    forward runs the op chain's own expressions (l2_normalize twice, mul, sum,
+    mul by 1/tau, sigmoid), so its values and FLOPs are that chain's. The
+    backward is closed-form for both inputs; where a norm is 0 it passes no
+    gradient through that norm, as the chain's sqrt does.
     """
     x, a = feature.data, audio.data
     if x.ndim != 4 or a.shape != (*x.shape[:2], 1, 1):
@@ -159,10 +161,10 @@ def cosine_scores(feature: Tensor, audio: Tensor, tau: float, eps: float = 1e-6)
     B, C = x.shape[:2]
     inv_tau = 1.0 / tau
     nx = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    dx = nx + eps
+    dx = nx + COSINE_EPS
     v = x / dx
     na = np.sqrt((a * a).sum(axis=1, keepdims=True))
-    da = na + eps
+    da = na + COSINE_EPS
     b = a / da
     sim = (v * b).sum(axis=1, keepdims=True)
     out = _sigmoid_data(sim * inv_tau)
@@ -188,7 +190,7 @@ def cosine_scores(feature: Tensor, audio: Tensor, tau: float, eps: float = 1e-6)
     return _result(out, "cosine_scores", (feature, audio), bw)
 
 
-def alignment_maps(features: list, audio: list, tau: float, eps: float = 1e-6) -> list:
+def alignment_maps(features: list, audio: list, tau: float) -> list:
     """Per-scale sharpened cosine-similarity scores in (0, 1), deepest first.
 
     ``audio`` holds one ``AudioState`` per feature scale, of the same width.
@@ -201,7 +203,7 @@ def alignment_maps(features: list, audio: list, tau: float, eps: float = 1e-6) -
     if len(features) != len(audio):
         raise ContractError(
             f"{len(features)} feature scales but {len(audio)} audio states")
-    return [cosine_scores(f, a.value, tau, eps) for f, a in zip(features, audio)]
+    return [cosine_scores(f, a.value, tau) for f, a in zip(features, audio)]
 
 
 def msa_loss(scores: list, mask: Tensor):
@@ -278,14 +280,14 @@ def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
         raise ContractError(f"balance weight must be >= 0, got {lam}")
     if variant not in ("seg", "seg+msa"):
         raise ContractError(f"unknown loss variant {variant!r}")
-    mask = foreground_mask(y)
-    d = dice_loss(logits, mask)
-    b = bce_loss(logits, mask)
+    # each loss refuses a mask that requires grad; msa_loss checks it is binary
+    d = dice_loss(logits, y)
+    b = bce_loss(logits, y)
     seg = add(d, b)
 
     # seg logs msa without building a graph for backward to walk
     with no_grad() if variant == "seg" else nullcontext():
-        m, per_scale = msa_loss(alignment_maps(features, audio, tau), mask)
+        m, per_scale = msa_loss(alignment_maps(features, audio, tau), y)
     loss = seg if variant == "seg" else add(seg, mul(m, lam))
     return LossReport(
         dice=d.item(), bce=b.item(), msa=m.item(), total=loss.item(),
@@ -320,7 +322,7 @@ def miou(pred_mask, gt_mask) -> float:
     return float(np.mean(scores))
 
 
-def fscore(pred_mask, gt_mask, beta_sq: float = FSCORE_BETA_SQ) -> float:
+def fscore(pred_mask, gt_mask) -> float:
     """Mean per-frame region F-beta (beta^2 = 0.3 by convention)."""
     p, g = _as_mask_batch(pred_mask), _as_mask_batch(gt_mask)
     if p.shape != g.shape:
@@ -334,6 +336,6 @@ def fscore(pred_mask, gt_mask, beta_sq: float = FSCORE_BETA_SQ) -> float:
         tp = np.logical_and(pf, gf).sum()
         prec = tp / np_ if np_ > 0 else 0.0
         rec = tp / ng if ng > 0 else 0.0
-        denom = beta_sq * prec + rec
-        scores.append(0.0 if denom == 0 else (1 + beta_sq) * prec * rec / denom)
+        denom = FSCORE_BETA_SQ * prec + rec
+        scores.append(0.0 if denom == 0 else (1 + FSCORE_BETA_SQ) * prec * rec / denom)
     return float(np.mean(scores))

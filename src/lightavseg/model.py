@@ -17,16 +17,14 @@ class ModelConfig:
     stage_channels: tuple = (16, 32, 64, 128)  # visual widths at strides 4/8/16/32
     audio_channels: int = 128     # audio embedding width
     stem_channels: int = 8
-    interact_stages: int = 3      # decoder interaction / alignment supervision depth
-    enable_har: bool = True       # dynamic (visually gated) audio state in the encoder
-    enable_agve: bool = True      # broadcast audio bias into the visual stream
-    enable_cmfd: bool = True      # decoder-side audio recurrence and injection
 
     def __post_init__(self):
         self.stage_channels = tuple(self.stage_channels)
         if len(self.stage_channels) != 4:
             raise DimensionError(
                 f"stage_channels has {len(self.stage_channels)} entries for 4 stages")
+        if min(self.stage_channels + (self.audio_channels, self.stem_channels)) < 1:
+            raise ContractError(f"model widths must be >= 1, got {self}")
 
 
 class SegModel:
@@ -43,12 +41,8 @@ class SegModel:
                                        self.params)
         self.audio_embed = AudioEmbed(cfg.audio_channels, rng, self.params)
         self.encoder = ReciprocalEncoder(self.backbone, cfg.audio_channels,
-                                         cfg.stage_channels, rng, self.params,
-                                         enable_har=cfg.enable_har,
-                                         enable_agve=cfg.enable_agve)
-        self.decoder = FusionDecoder(cfg.stage_channels, rng, self.params,
-                                     interact_stages=cfg.interact_stages,
-                                     enable_cmfd=cfg.enable_cmfd)
+                                         cfg.stage_channels, rng, self.params)
+        self.decoder = FusionDecoder(cfg.stage_channels, rng, self.params)
 
     # -- parameters ---------------------------------------------------------
 

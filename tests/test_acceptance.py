@@ -239,16 +239,25 @@ class TestAblationDirection:
     def test_har_vs_static_changes_outputs(self):
         from lightavseg.model import ModelConfig
 
-        def build(enable_har):
-            cfg = ModelConfig(stage_channels=(4, 5, 6, 7), audio_channels=8, stem_channels=3,
-                              enable_har=enable_har)
+        def build():
+            cfg = ModelConfig(stage_channels=(4, 5, 6, 7), audio_channels=8, stem_channels=3)
             return SegModel(cfg, RngState(5))
+
+        # the static state: an identity audio map and a gate fixed at
+        # hsigmoid(0 * pooled + 3) = 1, so each stage passes its projection on
+        static_model = build()
+        for i in range(1, 5):
+            audio_w = static_model.params[f"encoder.audio{i}.weight"]
+            audio_w.data[...] = np.eye(audio_w.shape[0])
+            static_model.params[f"encoder.audio{i}.bias"].data[...] = 0.0
+            static_model.params[f"encoder.gate{i}.weight"].data[...] = 0.0
+            static_model.params[f"encoder.gate{i}.bias"].data[...] = 3.0
 
         rng = RngState(6)
         frames = Tensor(rng.uniform((1, 3, 32, 32), 0, 1))
         mel = Tensor(rng.uniform((1, 96, 64), -20, 0))
-        dyn, _ = build(True).forward(frames, mel)
-        static, _ = build(False).forward(frames, mel)
+        dyn, _ = build().forward(frames, mel)
+        static, _ = static_model.forward(frames, mel)
         diff = np.abs(dyn.logits.data - static.logits.data).max()
         _report("har-nondegeneracy", diff > 1e-6,
                 f"dynamic vs static audio state max logit diff {diff:.2e} (> 1e-6)")

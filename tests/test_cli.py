@@ -14,6 +14,10 @@ from lightavseg.cli import (
 from lightavseg.tensor import ContractError, RngState
 
 
+# model switches that older configs and checkpoints may still name
+REMOVED_MODEL_KEYS = ("interact_stages", "enable_har", "enable_agve", "enable_cmfd")
+
+
 def toy_train_args(out, extra=()):
     return ["train", "--out", str(out), "--steps", "3", "--scenes", "4",
             "--hw", "32", "--log-every", "1", *extra]
@@ -53,12 +57,23 @@ class TestTrainCli:
         ("steps=abc", None, "steps"),
         ("lr=none", None, "lr"),
         ("hw=none", None, "hw"),
-        ("enable_har=maybe", None, "enable_har"),
+        ("freeze_audio_backbone=maybe", None, "freeze_audio_backbone"),
         ("stage_channels=4,x,6,7", None, "stage_channels"),
         ("snr_db=abc", None, "snr_db"),
         ("steps=1", "abc", "seed"),
         ("warp_speed=9", None, "warp_speed"),
         ("loss_variant=seg+avm", None, r"seg\+avm"),
+        *[(f"{key}=1", None, f"unknown config key '{key}'") for key in REMOVED_MODEL_KEYS],
+        # in range for their type, out of range for the run
+        ("audio_channels=-1", None, "audio_channels"),
+        ("stem_channels=0", None, "stem_channels"),
+        ("stage_channels=4,0,6,7", None, "stage_channels"),
+        ("seed=-1", None, "seed"),
+        ("steps=1", "-1", "seed"),
+        ("tau=0", None, "tau"),
+        ("weight_decay=nan", None, "weight_decay"),
+        ("frames_per_scene=-1", None, "frames_per_scene"),
+        ("snr_db=-inf", None, "snr_db"),
     ])
     def test_bad_config_value_is_contract_error(self, tmp_path, monkeypatch, capsys,
                                                 line, env_seed, key):
@@ -136,7 +151,8 @@ class TestEvalCli:
     @pytest.mark.parametrize("entry,message", [
         ({"warp_speed": 9}, "unknown config key 'warp_speed'"),
         ({"loss_variant": "seg+avm"}, "unknown loss variant 'seg+avm'"),
-    ], ids=["unknown-key", "removed-loss-variant"])
+        *[({key: True}, f"unknown config key '{key}'") for key in REMOVED_MODEL_KEYS],
+    ], ids=["unknown-key", "removed-loss-variant", *REMOVED_MODEL_KEYS])
     def test_eval_checkpoint_with_bad_config_fails_cleanly(self, tmp_path, capsys,
                                                           entry, message):
         assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0

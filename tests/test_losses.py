@@ -440,6 +440,18 @@ class TestTotalLoss:
         ref = total_loss(logits, feats, auds, y, lam=0.5, variant="seg+msa")
         assert rep.msa == ref.msa and rep.per_scale_msa == ref.per_scale_msa
 
+    @pytest.mark.parametrize("variant", ["seg", "seg+msa"])
+    def test_non_binary_mask_rejected(self, variant):
+        logits, feats, auds, y = self._inputs(4)
+        y.data[0, 0, 0, 0] = 0.5
+        with pytest.raises(ContractError, match="mask must be strictly binary"):
+            total_loss(logits, feats, auds, y, variant=variant)
+
+    def test_mask_that_requires_grad_is_refused(self):
+        logits, feats, auds, y = self._inputs(4)
+        with pytest.raises(ContractError, match="mask"):
+            total_loss(logits, feats, auds, Tensor(y.data, requires_grad=True))
+
     def test_gradients_pass(self):
         logits, feats, auds, y = self._inputs(9)
 
