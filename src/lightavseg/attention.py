@@ -28,6 +28,12 @@ from .tensor import (
     reshape, softmax, transpose,
 )
 
+FUSION_CHANNELS = 16  # width of the fusion sweep's encoder and decoder stage
+XATTN_CHANNELS = 64   # width of the attention sweep's input
+XATTN_D = 64          # attention sweep's token dimension
+INPUT_SEED = 0        # seed of the sweeps' parameters and inputs and the report's inputs
+REPORT_REPS = 3       # timed forwards per component report
+
 
 @dataclass
 class AttentionParams:
@@ -147,7 +153,7 @@ def fusion_stage_params(c: int, rng: RngState):
     return enc_p, dec_p
 
 
-def _fusion_step_fixture(channels: int, seed: int = 0):
+def _fusion_step_fixture(channels: int, seed: int):
     """One encoder refinement plus one decoder update at a fixed width."""
     enc_p, dec_p = fusion_stage_params(channels, RngState(seed))
 
@@ -162,8 +168,7 @@ def _fusion_step_fixture(channels: int, seed: int = 0):
     return run
 
 
-def scaling_sweep(module: str, grid_sizes, channels: int | None = None,
-                  d: int = 64, reps: int = 5, seed: int = 0) -> FlopReport:
+def scaling_sweep(module: str, grid_sizes, reps: int = 5) -> FlopReport:
     """Counted FLOPs and median-of-``reps`` wall time across grid sizes.
 
     ``module`` is ``fusion`` (gated channel interaction; the gated count is
@@ -175,24 +180,23 @@ def scaling_sweep(module: str, grid_sizes, channels: int | None = None,
         raise ContractError(f"grid sizes must be strictly increasing: {grid_sizes}")
     points = []
     if module == "fusion":
-        channels = 16 if channels is None else channels
-        run = _fusion_step_fixture(channels, seed=seed)
+        channels = FUSION_CHANNELS
+        run = _fusion_step_fixture(channels, INPUT_SEED)
         for g in grid_sizes:
             FLOPS.reset()
-            run(g, RngState(seed + g))
+            run(g, RngState(INPUT_SEED + g))
             flops = FLOPS.ops("fusion.interaction")
             madds = FLOPS.madds("fusion.interaction")
             elems = FLOPS.elems("fusion.interaction")
-            wall = _median_wall_ms(lambda: run(g, RngState(seed + g)), reps=reps)
+            wall = _median_wall_ms(lambda: run(g, RngState(INPUT_SEED + g)), reps=reps)
             points.append(FlopPoint("fusion", g * g, flops, wall, madds, elems))
         extra = {"gated_scope": "fusion.interaction",
                  "state_madds_last": FLOPS.madds("fusion.state")}
     elif module == "xattn":
-        channels = 64 if channels is None else channels
-        rng = RngState(seed)
-        p = make_attention_params(channels, d, rng)
+        channels, d = XATTN_CHANNELS, XATTN_D
+        p = make_attention_params(channels, d, RngState(INPUT_SEED))
         for g in grid_sizes:
-            data_rng = RngState(seed + g)
+            data_rng = RngState(INPUT_SEED + g)
             v = Tensor(data_rng.uniform((1, channels, g, g), -1, 1))
             a = AudioState(Tensor(data_rng.uniform((1, channels, 1, 1), -1, 1)))
             FLOPS.reset()
@@ -210,7 +214,7 @@ def scaling_sweep(module: str, grid_sizes, channels: int | None = None,
                       channels=channels, extra=extra)
 
 
-def component_report(model, hw: int = 224, reps: int = 3, seed: int = 0) -> dict:
+def component_report(model, hw: int = 224) -> dict:
     """Per-component FLOPs and wall time of a full forward (latency breakdown).
 
     ``total_wall_ms`` is the median time of a whole forward, and
@@ -218,7 +222,7 @@ def component_report(model, hw: int = 224, reps: int = 3, seed: int = 0) -> dict
     """
     from .tensor import TIMER, no_grad
 
-    rng = RngState(seed)
+    rng = RngState(INPUT_SEED)
     frames = Tensor(rng.uniform((1, 3, hw, hw), 0, 1))
     mel = Tensor(rng.uniform((1, 96, 64), -20, 0))
     names = ["visual_backbone", "audio_embed", "encoder_fusion",
@@ -229,7 +233,7 @@ def component_report(model, hw: int = 224, reps: int = 3, seed: int = 0) -> dict
     flops = {n: {"madds": FLOPS.madds(n), "elems": FLOPS.elems(n)} for n in names}
 
     times, totals = [], []
-    for _ in range(reps):
+    for _ in range(REPORT_REPS):
         TIMER.reset()
         t0 = time.perf_counter()
         with no_grad():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, DimensionError, RngState, Tensor
+from .tensor import ContractError, DimensionError, Tensor
 
 SAMPLE_RATE = 16000
 WIN_SAMPLES = 400      # 25 ms
@@ -87,14 +87,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
-                   sample_rate: int = SAMPLE_RATE,
-                   fmin: float = MEL_FMIN, fmax: float = MEL_FMAX) -> np.ndarray:
-    """Triangular filters (n_mels, n_fft//2+1), mel-spaced between fmin and fmax."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
-    bin_hz = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    fb = np.zeros((n_mels, n_fft // 2 + 1))
-    for k in range(n_mels):
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters (N_MELS, N_FFT//2+1), mel-spaced from MEL_FMIN to MEL_FMAX."""
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
+    bin_hz = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
+    fb = np.zeros((N_MELS, N_FFT // 2 + 1))
+    for k in range(N_MELS):
         left, center, right = edges_hz[k], edges_hz[k + 1], edges_hz[k + 2]
         up = (bin_hz - left) / (center - left)
         down = (right - bin_hz) / (right - center)
@@ -102,10 +100,9 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
     return fb
 
 
-def mel_filter_centers(n_mels: int = N_MELS, fmin: float = MEL_FMIN,
-                       fmax: float = MEL_FMAX) -> np.ndarray:
+def mel_filter_centers() -> np.ndarray:
     """Center frequency (Hz) of each triangular filter."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
     return edges_hz[1:-1]
 
 
@@ -165,26 +162,15 @@ def log_mel(w: Waveform) -> Spectrogram:
     return Spectrogram(Tensor(np.log(mel + LOG_FLOOR)), padded=padded)
 
 
-def synth_tone(freq_hz: float, duration_s: float, amplitude: float,
-               rng: RngState | None = None, snr_db: float | None = None) -> Waveform:
-    """Pure sine at 16 kHz, optionally with seeded Gaussian noise at snr_db."""
+def synth_tone(freq_hz: float, duration_s: float, amplitude: float) -> Waveform:
+    """Pure sine at 16 kHz."""
     if not 0.0 < freq_hz < 8000.0:
         raise ContractError(f"tone frequency must be in (0, 8000) Hz, got {freq_hz}")
     if amplitude > 1.0:
         raise ContractError(f"amplitude must be <= 1, got {amplitude}")
     n = int(round(duration_s * SAMPLE_RATE))
     t = np.arange(n) / SAMPLE_RATE
-    samples = amplitude * np.sin(2.0 * np.pi * freq_hz * t)
-    if snr_db is not None:
-        if rng is None:
-            raise ContractError("noise requested without an RngState")
-        signal_power = amplitude ** 2 / 2.0
-        noise_std = math.sqrt(signal_power / (10.0 ** (snr_db / 10.0)))
-        samples = samples + rng.normal((n,), std=noise_std)
-        peak = np.abs(samples).max()
-        if peak > 1.0:
-            samples = samples / peak
-    return Waveform(samples, SAMPLE_RATE)
+    return Waveform(amplitude * np.sin(2.0 * np.pi * freq_hz * t), SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class VisualStage:
     """Stride-2 3x3 conv + ReLU + pointwise mixing + ReLU."""
 
     def __init__(self, name: str, c_in: int, c_out: int, rng: RngState, params: dict):
-        self.conv = Conv3x3(f"{name}.conv", c_in, c_out, rng, params, stride=2)
+        self.conv = Conv3x3(f"{name}.conv", c_in, c_out, rng, params)
         self.mix = Linear1x1(f"{name}.mix", c_out, c_out, rng, params)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -52,7 +52,7 @@ class VisualBackbone:
     def __init__(self, stem_channels: int, stage_channels: tuple, rng: RngState,
                  params: dict):
         # frames are RGB
-        self.stem = Conv3x3("visual.stem", 3, stem_channels, rng, params, stride=2)
+        self.stem = Conv3x3("visual.stem", 3, stem_channels, rng, params)
         self.stages = []
         c_prev = stem_channels
         for i, c in enumerate(stage_channels):

@@ -2,7 +2,7 @@
 
 Config comes from an optional flat key=value file with flag overrides on top;
 LIGHTAVSEG_SEED in the environment overrides the seed from both. Run outputs
-land in the --out directory: config.txt, log.jsonl, ckpt_*.bin, bench.csv,
+land in the --out directory: config.txt, log.jsonl, ckpt_final.bin, bench.csv,
 bench.json. Exit codes: 0 success, 1 contract/runtime failure, 2 usage.
 """
 
@@ -69,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["seg", "seg+msa"])
         p.add_argument("--scenes", type=int, default=None, dest="n_scenes")
         p.add_argument("--hw", type=int, default=None)
-        p.add_argument("--snr-db", type=float, default=None)
-        p.add_argument("--ckpt-every", type=int, default=None)
         p.add_argument("--log-every", type=int, default=None)
         p.add_argument("--freeze-audio-backbone", dest="freeze_audio_backbone",
                        action="store_true", default=None)
@@ -88,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", type=str, default=None)
     p_eval.add_argument("--mute-audio", action="store_true",
                         help="zero the initial audio state at eval")
-    p_eval.add_argument("--threshold", type=float, default=0.5)
     p_eval.add_argument("--out", type=str, default=None, help="write report JSON here")
     p_eval.add_argument("--dump-alignment", type=str, default=None,
                         help="directory for per-scene alignment map dumps")
@@ -99,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--grids", type=_grid_list, default=None,
                          help="comma list of square grid sizes (positive integers); "
                               "--module model uses the first as the input size")
-    p_bench.add_argument("--channels", type=int, default=None)
     p_bench.add_argument("--out", type=str, default=None, help="output directory")
 
     p_grad = sub.add_parser("gradcheck", help="run the gradient verification suite")
@@ -112,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--scenes", type=int, default=64)
     p_synth.add_argument("--hw", type=int, default=64)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--snr-db", type=float, default=None)
 
     p_inspect = sub.add_parser("inspect", help="dump activations and alignment maps")
     p_inspect.add_argument("--ckpt", type=str, required=True)
@@ -171,8 +166,7 @@ def _cmd_eval(args) -> int:
                 write_tensor_file(dump_dir / f"scene{i:04d}_scale{s_idx}.tnsr",
                                   bilinear_upsample(s, *scene.frames.shape[2:]).data)
 
-    report = evaluate(model, scenes, mute_audio=args.mute_audio,
-                      threshold=args.threshold, on_scene=dump_scene)
+    report = evaluate(model, scenes, mute_audio=args.mute_audio, on_scene=dump_scene)
     line = json.dumps({k: v for k, v in report.items() if k != "per_scene"},
                       sort_keys=True)
     print(line)
@@ -199,7 +193,7 @@ def _cmd_bench(args) -> int:
         json_text = json.dumps(report, sort_keys=True, indent=1)
     else:
         grids = args.grids or ([28, 56, 112, 224] if args.module == "fusion" else [14, 28, 56])
-        report = scaling_sweep(args.module, grids, channels=args.channels)
+        report = scaling_sweep(args.module, grids)
         csv_text = report.to_csv()
         json_text = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
         print(f"{args.module}: fitted log-log slope vs N = {report.slope:.4f}")
@@ -225,8 +219,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_synth_data(args) -> int:
     from .data import DatasetSpec, materialize_dataset
-    spec = DatasetSpec(n_scenes=args.scenes, hw=args.hw, seed=args.seed,
-                       snr_db=args.snr_db)
+    spec = DatasetSpec(n_scenes=args.scenes, hw=args.hw, seed=args.seed)
     dirs = materialize_dataset(spec, args.out)
     print(f"wrote {len(dirs)} scenes under {args.out}")
     return 0

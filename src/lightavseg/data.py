@@ -18,7 +18,7 @@ On-disk layout (one directory per clip):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,9 @@ from .audio import (  # noqa: F401  (log_mel stays reachable as data.log_mel)
 from .pngio import read_png, write_png
 from .tensor import ContractError, RngState, Tensor
 
-TONE_AMPLITUDE = 0.5  # peak of each scene's sine before noise
+TONE_AMPLITUDE = 0.5  # peak of each scene's sine
+# tone of shape 0 and of shape 1; distinct, so the tone names the sounding shape
+TONE_HZ = (800.0, 2400.0)
 
 
 class LoadError(ContractError):
@@ -41,16 +43,12 @@ class DatasetSpec:
     n_scenes: int = 64
     hw: int = 64
     frames_per_scene: int = 1
-    freq_table: dict = field(default_factory=lambda: {0: 800.0, 1: 2400.0})
-    snr_db: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if set(self.freq_table) != {0, 1}:
-            raise ContractError("frequency table keys must be the shape ids 0 and 1")
-        freqs = list(self.freq_table.values())
-        if len(set(freqs)) != len(freqs):
-            raise ContractError("frequency table must be injective over shape ids")
+        for name, low in (("n_scenes", 1), ("hw", 1), ("frames_per_scene", 1), ("seed", 0)):
+            if not getattr(self, name) >= low:
+                raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -118,11 +116,8 @@ def generate_scene(spec: DatasetSpec, index: int) -> Scene:
     mask = footprints[sounding][0].astype(np.float64)
     masks = np.broadcast_to(mask[None, None], (t, 1, hw, hw)).copy()
 
-    freq = spec.freq_table[sounding]
-    audio_rng = RngState(spec.seed, counter=pair * 4096 + 2048 + sounding)
-    wave = synth_tone(freq, float(t), TONE_AMPLITUDE,
-                      rng=audio_rng if spec.snr_db is not None else None,
-                      snr_db=spec.snr_db)
+    freq = TONE_HZ[sounding]
+    wave = synth_tone(freq, float(t), TONE_AMPLITUDE)
     return Scene(
         frames=Tensor(np.clip(frames, 0.0, 1.0)),
         waveform=wave,

@@ -60,9 +60,7 @@ class TrainConfig:
     hw: int = 64
     n_scenes: int = 64
     frames_per_scene: int = 1
-    snr_db: float | None = None
     # bookkeeping
-    ckpt_every: int = 0              # 0: final checkpoint only
     log_every: int = 10
 
     def __post_init__(self):
@@ -72,27 +70,24 @@ class TrainConfig:
                 ("lr", 0 < self.lr < math.inf, "positive and finite"),
                 ("tau", 0 < self.tau < math.inf, "positive and finite"),
                 ("lam", 0 <= self.lam < math.inf, "non-negative and finite"),
-                ("weight_decay", abs(self.weight_decay) < math.inf, "finite"),
-                ("snr_db", self.snr_db is None or abs(self.snr_db) < math.inf,
-                 "finite or none")):
+                ("weight_decay", abs(self.weight_decay) < math.inf, "finite")):
             if not ok:
                 raise ContractError(f"{name} must be {want}, got {getattr(self, name)}")
-        for name, low in (("batch_size", 1), ("steps", 0), ("seed", 0), ("n_scenes", 1),
-                          ("hw", 1), ("frames_per_scene", 1), ("log_every", 1),
-                          ("ckpt_every", 0)):
+        for name, low in (("batch_size", 1), ("steps", 0), ("log_every", 1)):
             if not getattr(self, name) >= low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.loss_variant not in ("seg", "seg+msa"):
             raise ContractError(f"unknown loss variant {self.loss_variant!r}")
-        self.model_config()  # ModelConfig range-checks the model fields
+        # ModelConfig and DatasetSpec range-check the model and dataset fields
+        self.model_config()
+        self.dataset_spec()
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(n_scenes=self.n_scenes, hw=self.hw,
-                           frames_per_scene=self.frames_per_scene,
-                           snr_db=self.snr_db, seed=self.seed)
+                           frames_per_scene=self.frames_per_scene, seed=self.seed)
 
 
 # Config file surface: flat key=value lines, one per TrainConfig field, each
@@ -105,12 +100,8 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _parse_value(name: str, raw, ftype):
     """One config value: a literal is parsed by ``ftype``, a typed value kept."""
-    args = typing.get_args(ftype)                 # (X, NoneType) for X | None
-    ftype = args[0] if args else ftype
-    if isinstance(raw, str) and raw.strip().lower() in ("none", "null"):
-        raw = None
-    if raw is None and type(None) not in args:
-        raise ContractError(f"config key {name}: none is not a valid {ftype.__name__}")
+    if raw is None:  # a JSON null in a checkpoint's config
+        raise ContractError(f"config key {name}: null is not a valid {ftype.__name__}")
     if not isinstance(raw, str):
         return raw
     raw = raw.strip()
@@ -288,10 +279,8 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[SegModel, TrainConfig]:
 @dataclass
 class TrainResult:
     model: SegModel
-    config: TrainConfig
     opt_state: AdamWState
     log_lines: list
-    checkpoints: list
     batch_rng: RngState
 
 
@@ -318,7 +307,7 @@ def train(cfg: TrainConfig, scenes: list | None = None,
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "config.txt").write_text(config_to_flat_text(cfg))
 
-    log_lines, ckpt_paths = [], []
+    log_lines = []
     log_f = open(out_dir / "log.jsonl", "w") if out_dir is not None else None
     order: list[int] = []
 
@@ -350,26 +339,22 @@ def train(cfg: TrainConfig, scenes: list | None = None,
                 log_lines.append(line)
                 if log_f is not None:
                     log_f.write(json.dumps(line, sort_keys=True) + "\n")
-            if out_dir is not None and cfg.ckpt_every and step % cfg.ckpt_every == 0:
-                p = out_dir / f"ckpt_step{step}.bin"
-                save_checkpoint(p, cfg, model.params, state, batch_rng, step)
-                ckpt_paths.append(p)
     finally:
         if log_f is not None:
             log_f.close()
 
     if out_dir is not None:
-        p = out_dir / "ckpt_final.bin"
-        save_checkpoint(p, cfg, model.params, state, batch_rng, cfg.steps)
-        ckpt_paths.append(p)
-    return TrainResult(model=model, config=cfg, opt_state=state,
-                       log_lines=log_lines, checkpoints=ckpt_paths,
+        save_checkpoint(out_dir / "ckpt_final.bin", cfg, model.params, state,
+                        batch_rng, cfg.steps)
+    return TrainResult(model=model, opt_state=state, log_lines=log_lines,
                        batch_rng=batch_rng)
 
 
 def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
-             threshold: float = 0.5, on_scene=None) -> dict:
+             on_scene=None) -> dict:
     """Mean IoU / F-score over scenes; per-scene table included.
+
+    A pixel is predicted foreground where its probability exceeds 0.5.
 
     ``mute_audio`` runs the muted forward (``mel=None``) without computing the
     log-mel at all.
@@ -388,7 +373,7 @@ def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
             if on_scene is not None:
                 on_scene(i, scene, seg)
         probs = _sigmoid_data(seg.logits.data)
-        pred = probs > threshold
+        pred = probs > 0.5
         gt = scene.masks.data > 0.5
         per_scene.append({
             "index": scene.meta.get("index", scene.meta.get("video_id")),

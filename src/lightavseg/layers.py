@@ -21,16 +21,14 @@ class Linear1x1:
 
 
 class Conv3x3:
-    """3x3 convolution, padding 1, with registered weight/bias."""
+    """3x3 convolution, stride 2, padding 1, with registered weight/bias."""
 
-    def __init__(self, name: str, c_in: int, c_out: int, rng: RngState, params: dict,
-                 stride: int = 1):
+    def __init__(self, name: str, c_in: int, c_out: int, rng: RngState, params: dict):
         fan_in, fan_out = c_in * 9, c_out * 9
         self.weight = parameter(glorot_uniform(rng, (c_out, c_in, 3, 3), fan_in, fan_out))
         self.bias = parameter(np.zeros(c_out))
         params[f"{name}.weight"] = self.weight
         params[f"{name}.bias"] = self.bias
-        self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=1)
+        return conv2d(x, self.weight, self.bias, stride=2, padding=1)

@@ -167,11 +167,6 @@ class TestSynthTone:
         np.testing.assert_allclose(w.samples, 0.8 * np.sin(2 * np.pi * 440.0 * k / SAMPLE_RATE),
                                    atol=1e-12)
 
-    def test_noise_deterministic_per_seed(self):
-        a = synth_tone(440.0, 0.2, 0.5, rng=RngState(9), snr_db=10.0)
-        b = synth_tone(440.0, 0.2, 0.5, rng=RngState(9), snr_db=10.0)
-        np.testing.assert_array_equal(a.samples, b.samples)
-
     def test_frequency_bounds(self):
         with pytest.raises(ContractError):
             synth_tone(9000.0, 1.0, 0.5)

@@ -1,5 +1,7 @@
 """CLI surface: subcommand contracts, file outputs, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import struct
 
@@ -11,11 +13,13 @@ from hypothesis.extra import numpy as hnp
 from lightavseg.cli import (
     _build_parser, _load_config, main, read_tensor_file, write_tensor_file,
 )
+from lightavseg.harness import TrainConfig
 from lightavseg.tensor import ContractError, RngState
 
 
-# model switches that older configs and checkpoints may still name
-REMOVED_MODEL_KEYS = ("interact_stages", "enable_har", "enable_agve", "enable_cmfd")
+# removed settings that older configs and checkpoints may still name
+REMOVED_KEYS = ("interact_stages", "enable_har", "enable_agve", "enable_cmfd",
+                "snr_db", "ckpt_every")
 
 
 def toy_train_args(out, extra=()):
@@ -59,11 +63,10 @@ class TestTrainCli:
         ("hw=none", None, "hw"),
         ("freeze_audio_backbone=maybe", None, "freeze_audio_backbone"),
         ("stage_channels=4,x,6,7", None, "stage_channels"),
-        ("snr_db=abc", None, "snr_db"),
         ("steps=1", "abc", "seed"),
         ("warp_speed=9", None, "warp_speed"),
         ("loss_variant=seg+avm", None, r"seg\+avm"),
-        *[(f"{key}=1", None, f"unknown config key '{key}'") for key in REMOVED_MODEL_KEYS],
+        *[(f"{key}=1", None, f"unknown config key '{key}'") for key in REMOVED_KEYS],
         # in range for their type, out of range for the run
         ("audio_channels=-1", None, "audio_channels"),
         ("stem_channels=0", None, "stem_channels"),
@@ -73,7 +76,6 @@ class TestTrainCli:
         ("tau=0", None, "tau"),
         ("weight_decay=nan", None, "weight_decay"),
         ("frames_per_scene=-1", None, "frames_per_scene"),
-        ("snr_db=-inf", None, "snr_db"),
     ])
     def test_bad_config_value_is_contract_error(self, tmp_path, monkeypatch, capsys,
                                                 line, env_seed, key):
@@ -103,6 +105,14 @@ class TestTrainCli:
         assert main(toy_train_args(tmp_path / "r", (flag, value))) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "r").exists()
+
+    def test_every_flag_sets_a_config_field(self):
+        # _load_config reads only TrainConfig fields, so any other dest is ignored
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["train"]._actions if a.dest != "help"}
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert dests <= fields | {"config", "out", "data"}
 
 
 class TestEvalCli:
@@ -151,8 +161,9 @@ class TestEvalCli:
     @pytest.mark.parametrize("entry,message", [
         ({"warp_speed": 9}, "unknown config key 'warp_speed'"),
         ({"loss_variant": "seg+avm"}, "unknown loss variant 'seg+avm'"),
-        *[({key: True}, f"unknown config key '{key}'") for key in REMOVED_MODEL_KEYS],
-    ], ids=["unknown-key", "removed-loss-variant", *REMOVED_MODEL_KEYS])
+        ({"lr": None}, "config key lr"),
+        *[({key: True}, f"unknown config key '{key}'") for key in REMOVED_KEYS],
+    ], ids=["unknown-key", "removed-loss-variant", "null-value", *REMOVED_KEYS])
     def test_eval_checkpoint_with_bad_config_fails_cleanly(self, tmp_path, capsys,
                                                           entry, message):
         assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
@@ -285,6 +296,31 @@ class TestOtherCommands:
 
     def test_unknown_command_exits_2(self):
         assert main(["undefined-command"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out", "r", "--snr-db", "10"],
+        ["train", "--out", "r", "--ckpt-every", "1"],
+        ["synth-data", "--out", "d", "--snr-db", "10"],
+        ["eval", "--ckpt", "c.bin", "--threshold", "0.3"],
+        ["bench", "--module", "fusion", "--channels", "8"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_removed_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--scenes", "0", "n_scenes"), ("--scenes", "-1", "n_scenes"),
+        ("--seed", "-1", "seed"), ("--hw", "0", "hw"),
+    ])
+    def test_synth_data_out_of_range_fails_cleanly(self, tmp_path, capsys, flag, value,
+                                                   key):
+        argv = ["synth-data", "--out", str(tmp_path / "d"), "--scenes", "2", "--hw", "32"]
+        assert main([*argv, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key} must be") and captured.out == ""
+        assert not (tmp_path / "d").exists()
 
     def test_synth_data_then_train_on_layout(self, tmp_path, capsys):
         assert main(["synth-data", "--out", str(tmp_path / "d"), "--scenes", "2",

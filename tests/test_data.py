@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lightavseg.audio import log_mel
+from lightavseg.audio import log_mel, synth_tone
 from lightavseg.data import (
-    DatasetSpec, LoadError, Scene, generate_dataset, generate_scene,
-    load_avsbench_layout, materialize_dataset, save_scene,
+    TONE_AMPLITUDE, TONE_HZ, DatasetSpec, LoadError, Scene, generate_dataset,
+    generate_scene, load_avsbench_layout, materialize_dataset, save_scene,
 )
 from lightavseg.pngio import _SIGNATURE, _chunk, read_png, write_png
 from lightavseg.tensor import ContractError, RngState
@@ -108,25 +108,17 @@ class TestSceneGeneration:
         b = generate_scene(DatasetSpec(n_scenes=2, hw=32, seed=1), 0)
         assert not np.array_equal(a.frames.data, b.frames.data)
 
-    def test_tone_matches_frequency_table(self):
-        spec = DatasetSpec(n_scenes=4, hw=32, seed=2,
-                           freq_table={0: 600.0, 1: 3000.0})
-        assert generate_scene(spec, 0).meta["tone_hz"] == 600.0
-        assert generate_scene(spec, 1).meta["tone_hz"] == 3000.0
-
-    def test_swapping_table_entries_swaps_masks_not_frames(self):
-        # same tone under the swapped table designates the other shape
-        fwd = DatasetSpec(n_scenes=4, hw=32, seed=6,
-                          freq_table={0: 800.0, 1: 2400.0})
-        rev = DatasetSpec(n_scenes=4, hw=32, seed=6,
-                          freq_table={0: 2400.0, 1: 800.0})
-        a = generate_scene(fwd, 0)        # tone 800, shape 0 sounding
-        b = generate_scene(rev, 1)        # tone 800, shape 1 sounding
-        assert a.meta["tone_hz"] == b.meta["tone_hz"] == 800.0
-        np.testing.assert_array_equal(a.frames.data, b.frames.data)
-        assert not np.array_equal(a.masks.data, b.masks.data)
-        partner = generate_scene(fwd, 1)  # shape 1 under the original table
-        np.testing.assert_array_equal(b.masks.data, partner.masks.data)
+    def test_scene_sounds_the_tone_of_its_shape(self):
+        # scene 2k+s sounds TONE_HZ[s]: only the tone tells the pair's masks apart
+        spec = DatasetSpec(n_scenes=6, hw=32, seed=2, frames_per_scene=2)
+        for k in range(3):
+            pair = [generate_scene(spec, 2 * k + s) for s in (0, 1)]
+            for s, scene in enumerate(pair):
+                tone = synth_tone(TONE_HZ[s], 2.0, TONE_AMPLITUDE)
+                assert scene.meta["tone_hz"] == TONE_HZ[s]
+                np.testing.assert_array_equal(scene.waveform.samples, tone.samples)
+            np.testing.assert_array_equal(pair[0].frames.data, pair[1].frames.data)
+            assert not np.array_equal(pair[0].masks.data, pair[1].masks.data)
 
     def test_audio_lengths_match_frame_count(self):
         spec = DatasetSpec(n_scenes=2, hw=32, seed=4, frames_per_scene=3)
@@ -139,16 +131,12 @@ class TestSceneGeneration:
         with pytest.raises(ContractError):
             generate_scene(DatasetSpec(n_scenes=2), 2)
 
-    def test_freq_table_must_be_injective(self):
-        with pytest.raises(ContractError):
-            DatasetSpec(freq_table={0: 500.0, 1: 500.0})
-
-    @pytest.mark.parametrize("table", [
-        {0: 500.0}, {0: 500.0, 1: 900.0, 2: 1300.0}, {1: 500.0, 2: 900.0},
+    @pytest.mark.parametrize("key,value", [
+        ("n_scenes", 0), ("n_scenes", -1), ("hw", 0), ("frames_per_scene", 0), ("seed", -1),
     ])
-    def test_freq_table_keys_are_the_two_shape_ids(self, table):
-        with pytest.raises(ContractError, match="0 and 1"):
-            DatasetSpec(freq_table=table)
+    def test_out_of_range_field_rejected(self, key, value):
+        with pytest.raises(ContractError, match=f"{key} must be >= "):
+            DatasetSpec(**{key: value})
 
 
 class TestLayout:

@@ -85,12 +85,11 @@ class TestConfig:
         "weight_decay": st.floats(allow_nan=False, allow_infinity=False),
         "loss_variant": st.sampled_from(["seg", "seg+msa"]),
         "stage_channels": st.tuples(*[st.integers(1, 512)] * 4),
-        "snr_db": st.none() | st.floats(allow_nan=False, allow_infinity=False),
         "freeze_audio_backbone": st.booleans(),
         **{name: st.integers(low, 2**40) for name, low in (
             ("batch_size", 1), ("steps", 0), ("seed", 0), ("n_scenes", 1), ("hw", 1),
             ("audio_channels", 1), ("stem_channels", 1), ("frames_per_scene", 1),
-            ("log_every", 1), ("ckpt_every", 0))},
+            ("log_every", 1))},
     }
 
     @settings(max_examples=60, deadline=None)
@@ -128,12 +127,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("batch_size", 0), ("steps", -1), ("n_scenes", 0), ("hw", 0),
-        ("log_every", 0), ("ckpt_every", -1),
+        ("log_every", 0),
         ("lr", float("nan")), ("lr", float("inf")), ("lam", float("nan")),
         ("lam", float("inf")), ("tau", float("nan")), ("tau", float("inf")),
         ("tau", 0.0), ("seed", -1), ("weight_decay", float("nan")),
-        ("weight_decay", float("-inf")), ("frames_per_scene", 0), ("snr_db", float("nan")),
-        ("snr_db", float("inf")), ("audio_channels", 0), ("stem_channels", -1),
+        ("weight_decay", float("-inf")), ("frames_per_scene", 0),
+        ("audio_channels", 0), ("stem_channels", -1),
         ("stage_channels", (4, 5, 0, 7)),
     ])
     def test_out_of_range_value_rejected(self, key, value):
