@@ -44,9 +44,8 @@ class AttentionParams:
     d: int
 
 
-def make_attention_params(channels: int, d: int, rng: RngState,
-                          params: dict | None = None) -> AttentionParams:
-    params = params if params is not None else {}
+def make_attention_params(channels: int, d: int, rng: RngState) -> AttentionParams:
+    params = {}
     return AttentionParams(
         query=Linear1x1("xattn.query", channels, d, rng, params),
         key=Linear1x1("xattn.key", channels, d, rng, params),

@@ -1,16 +1,16 @@
 """Command-line driver: train, eval, bench, gradcheck, synth-data, inspect.
 
-Config comes from an optional flat key=value file with flag overrides on top;
-LIGHTAVSEG_SEED in the environment overrides the seed from both. Run outputs
-land in the --out directory: config.txt, log.jsonl, ckpt_final.bin, bench.csv,
-bench.json. Exit codes: 0 success, 1 contract/runtime failure, 2 usage.
+Config comes from an optional flat key=value file with flag overrides on top.
+Run outputs land in the --out directory: config.txt, log.jsonl,
+ckpt_final.bin, bench.csv, bench.json. eval and inspect read each scene out of
+harness.evaluate's one forward. Exit codes: 0 success, 1 contract/runtime
+failure, 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import (
-    ContractError, DimensionError, NumericalError, RngState, bilinear_upsample, read_array,
-    write_array,
+    ContractError, DimensionError, NumericalError, RngState, read_array, write_array,
 )
 
 TENSOR_MAGIC = b"TNSR"
@@ -99,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", type=str, default=None, help="output directory")
 
     p_grad = sub.add_parser("gradcheck", help="run the gradient verification suite")
-    p_grad.add_argument("--tol", type=float, default=1e-4)
     p_grad.add_argument("--quick", action="store_true",
                         help="subsample end-to-end coordinates")
 
@@ -118,13 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    """File values, then flags, then LIGHTAVSEG_SEED, parsed as one mapping."""
+    """File values, then flags, parsed as one mapping."""
     from .harness import TrainConfig, config_from_file, config_from_mapping
     overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
                  if getattr(args, f.name, None) is not None}
-    env_seed = os.environ.get("LIGHTAVSEG_SEED")
-    if env_seed is not None:
-        overrides["seed"] = env_seed
     if args.config:
         return config_from_file(args.config, overrides)
     return config_from_mapping(overrides)
@@ -149,8 +144,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .harness import evaluate, load_checkpoint, model_from_checkpoint
-    from .losses import alignment_maps
+    from .harness import (
+        evaluate, frame_alignment_maps, load_checkpoint, model_from_checkpoint,
+    )
 
     ckpt = load_checkpoint(args.ckpt)
     model, cfg = model_from_checkpoint(ckpt)
@@ -160,11 +156,10 @@ def _cmd_eval(args) -> int:
         dump_dir = Path(args.dump_alignment)
         dump_dir.mkdir(parents=True, exist_ok=True)
 
-        def dump_scene(i, scene, seg):
-            scores = alignment_maps(seg.per_stage_features, seg.audio_states, cfg.tau)
-            for s_idx, s in enumerate(scores):
-                write_tensor_file(dump_dir / f"scene{i:04d}_scale{s_idx}.tnsr",
-                                  bilinear_upsample(s, *scene.frames.shape[2:]).data)
+        def dump_scene(i, scene, seg, enc):
+            maps = frame_alignment_maps(seg, scene.frames.shape[2:], cfg.tau)
+            for s_idx, m in enumerate(maps):
+                write_tensor_file(dump_dir / f"scene{i:04d}_scale{s_idx}.tnsr", m)
 
     report = evaluate(model, scenes, mute_audio=args.mute_audio, on_scene=dump_scene)
     line = json.dumps({k: v for k, v in report.items() if k != "per_scene"},
@@ -207,7 +202,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from .gradsuite import full_suite
-    results = full_suite(tol=args.tol, quick=args.quick)
+    results = full_suite(quick=args.quick)
     ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -226,12 +221,12 @@ def _cmd_synth_data(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from .audio import log_mel
     from .data import generate_scene, load_avsbench_layout
-    from .harness import load_checkpoint, model_from_checkpoint
-    from .losses import alignment_maps
+    from .harness import (
+        evaluate, frame_alignment_maps, load_checkpoint, model_from_checkpoint,
+        predict_foreground,
+    )
     from .pngio import write_png
-    from .tensor import no_grad, _sigmoid_data
 
     ckpt = load_checkpoint(args.ckpt)
     model, cfg = model_from_checkpoint(ckpt)
@@ -245,19 +240,18 @@ def _cmd_inspect(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    mel = log_mel(scene.waveform).windows
-    with no_grad():
-        seg, enc = model.forward(scene.frames, mel)
-        scores = alignment_maps(seg.per_stage_features, seg.audio_states, cfg.tau)
-        maps = [bilinear_upsample(s, *scene.frames.shape[2:]) for s in scores]
-    write_tensor_file(out_dir / "logits.tnsr", seg.logits.data)
-    for i, (feat, state) in enumerate(zip(enc.enhanced, enc.audio_states)):
-        write_tensor_file(out_dir / f"enc_stage{i + 1}_feat.tnsr", feat.data)
-        write_tensor_file(out_dir / f"enc_stage{i + 1}_audio.tnsr", state.value.data)
-    for i, m in enumerate(maps):
-        write_tensor_file(out_dir / f"alignment_scale{i}.tnsr", m.data)
-    pred = (_sigmoid_data(seg.logits.data[0, 0]) > 0.5).astype(np.uint8) * 255
-    write_png(out_dir / "pred_mask.png", pred)
+    def dump(_, scene, seg, enc):
+        write_tensor_file(out_dir / "logits.tnsr", seg.logits.data)
+        for k, (feat, state) in enumerate(zip(enc.enhanced, enc.audio_states), start=1):
+            write_tensor_file(out_dir / f"enc_stage{k}_feat.tnsr", feat.data)
+            write_tensor_file(out_dir / f"enc_stage{k}_audio.tnsr", state.value.data)
+        maps = frame_alignment_maps(seg, scene.frames.shape[2:], cfg.tau)
+        for k, m in enumerate(maps):
+            write_tensor_file(out_dir / f"alignment_scale{k}.tnsr", m)
+        pred = predict_foreground(seg.logits.data[0, 0]).astype(np.uint8) * 255
+        write_png(out_dir / "pred_mask.png", pred)
+
+    evaluate(model, [scene], on_scene=dump)
     print(f"wrote inspection dumps to {out_dir}")
     return 0
 

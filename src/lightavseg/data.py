@@ -32,6 +32,9 @@ from .tensor import ContractError, RngState, Tensor
 TONE_AMPLITUDE = 0.5  # peak of each scene's sine
 # tone of shape 0 and of shape 1; distinct, so the tone names the sounding shape
 TONE_HZ = (800.0, 2400.0)
+# Smallest grid on which both shapes fit at every half-extent the layout can
+# draw: each hw >= 26 fits them all, and each hw <= 25 has one that does not.
+MIN_HW = 26
 
 
 class LoadError(ContractError):
@@ -42,11 +45,10 @@ class LoadError(ContractError):
 class DatasetSpec:
     n_scenes: int = 64
     hw: int = 64
-    frames_per_scene: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("n_scenes", 1), ("hw", 1), ("frames_per_scene", 1), ("seed", 0)):
+        for name, low in (("n_scenes", 1), ("hw", MIN_HW), ("seed", 0)):
             if not getattr(self, name) >= low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
@@ -80,7 +82,7 @@ def _shape_footprint(kind: int, cy: int, cx: int, half: int, hw: int) -> np.ndar
 
 
 def generate_scene(spec: DatasetSpec, index: int) -> Scene:
-    """Deterministic scene for (spec.seed, index); pairs share frames."""
+    """Deterministic one-frame scene for (spec.seed, index); pairs share frames."""
     if not 0 <= index < spec.n_scenes:
         raise ContractError(f"scene index {index} is outside [0, {spec.n_scenes})")
     pair, sounding = divmod(index, 2)
@@ -97,9 +99,6 @@ def generate_scene(spec: DatasetSpec, index: int) -> Scene:
     split_on_y = int(rng.integers(0, 2)) == 0
     lo_hi = hw // 2 - half - 1
     hi_lo = hw // 2 + half + 1
-    if margin >= lo_hi:
-        raise ContractError(
-            f"shapes of half-extent {half} do not fit a {hw}x{hw} grid twice")
     footprints = []
     for side in (0, 1):
         split = int(rng.integers(margin, lo_hi)) if side == 0 else \
@@ -111,17 +110,12 @@ def generate_scene(spec: DatasetSpec, index: int) -> Scene:
     for fp, _ in footprints:
         image[:, fp] = color[:, None]
 
-    t = spec.frames_per_scene
-    frames = np.broadcast_to(image, (t,) + image.shape).copy()
     mask = footprints[sounding][0].astype(np.float64)
-    masks = np.broadcast_to(mask[None, None], (t, 1, hw, hw)).copy()
-
     freq = TONE_HZ[sounding]
-    wave = synth_tone(freq, float(t), TONE_AMPLITUDE)
     return Scene(
-        frames=Tensor(np.clip(frames, 0.0, 1.0)),
-        waveform=wave,
-        masks=Tensor(masks),
+        frames=Tensor(np.clip(image[None], 0.0, 1.0)),
+        waveform=synth_tone(freq, 1.0, TONE_AMPLITUDE),
+        masks=Tensor(mask[None, None]),
         meta={"index": index, "pair": pair, "sounding_shape": sounding,
               "tone_hz": freq, "kind": "square" if kind == 0 else "circle",
               "centers": [c for _, c in footprints], "half_extent": half},

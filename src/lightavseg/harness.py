@@ -59,7 +59,6 @@ class TrainConfig:
     # synthetic dataset
     hw: int = 64
     n_scenes: int = 64
-    frames_per_scene: int = 1
     # bookkeeping
     log_every: int = 10
 
@@ -86,8 +85,7 @@ class TrainConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def dataset_spec(self) -> DatasetSpec:
-        return DatasetSpec(n_scenes=self.n_scenes, hw=self.hw,
-                           frames_per_scene=self.frames_per_scene, seed=self.seed)
+        return DatasetSpec(n_scenes=self.n_scenes, hw=self.hw, seed=self.seed)
 
 
 # Config file surface: flat key=value lines, one per TrainConfig field, each
@@ -350,17 +348,32 @@ def train(cfg: TrainConfig, scenes: list | None = None,
                        batch_rng=batch_rng)
 
 
+def predict_foreground(logits: np.ndarray) -> np.ndarray:
+    """A pixel is predicted foreground where its probability exceeds 0.5."""
+    return _sigmoid_data(logits) > 0.5
+
+
+def frame_alignment_maps(seg, frame_hw: tuple, tau: float) -> list:
+    """Each scale's alignment scores of one forward, upsampled to ``frame_hw``.
+
+    Deepest scale first, as ``alignment_maps`` orders them; call under
+    ``no_grad``.
+    """
+    return [bilinear_upsample(s, *frame_hw).data
+            for s in alignment_maps(seg.per_stage_features, seg.audio_states, tau)]
+
+
 def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
              on_scene=None) -> dict:
     """Mean IoU / F-score over scenes; per-scene table included.
 
-    A pixel is predicted foreground where its probability exceeds 0.5.
+    Foreground is read out by ``predict_foreground``.
 
     ``mute_audio`` runs the muted forward (``mel=None``) without computing the
     log-mel at all.
 
-    ``on_scene(i, scene, seg)``, if given, is called inside ``no_grad`` with
-    each scene's forward output, so a caller can read more from the one
+    ``on_scene(i, scene, seg, enc)``, if given, is called inside ``no_grad``
+    with each scene's forward output, so a caller can read more from the one
     forward instead of running the model again.
     """
     if not scenes:
@@ -369,11 +382,10 @@ def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
     for i, scene in enumerate(scenes):
         mel = None if mute_audio else log_mel(scene.waveform).windows
         with no_grad():
-            seg, _ = model.forward(scene.frames, mel)
+            seg, enc = model.forward(scene.frames, mel)
             if on_scene is not None:
-                on_scene(i, scene, seg)
-        probs = _sigmoid_data(seg.logits.data)
-        pred = probs > 0.5
+                on_scene(i, scene, seg, enc)
+        pred = predict_foreground(seg.logits.data)
         gt = scene.masks.data > 0.5
         per_scene.append({
             "index": scene.meta.get("index", scene.meta.get("video_id")),
@@ -392,10 +404,9 @@ def alignment_separation(model: SegModel, scenes: list, tau: float = 0.1) -> dic
     """Mean finest-scale alignment score over foreground vs background pixels."""
     fg_vals, bg_vals = [], []
 
-    def collect(i, scene, seg):
-        scores = alignment_maps(seg.per_stage_features, seg.audio_states, tau)
+    def collect(_, scene, seg, enc):
         # shallowest supervised scale
-        finest = bilinear_upsample(scores[-1], *scene.frames.shape[2:]).data
+        finest = frame_alignment_maps(seg, scene.frames.shape[2:], tau)[-1]
         mask = foreground_mask(scene.masks).data > 0.5
         fg_vals.append(finest[mask])
         bg_vals.append(finest[~mask])

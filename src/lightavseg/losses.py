@@ -196,7 +196,7 @@ def alignment_maps(features: list, audio: list, tau: float) -> list:
     ``audio`` holds one ``AudioState`` per feature scale, of the same width.
     The scores keep each scale's resolution; ``msa_loss`` upsamples them
     inside its node, and a no-grad caller that wants full-resolution maps
-    calls ``bilinear_upsample`` itself.
+    calls ``harness.frame_alignment_maps``.
     """
     if tau <= 0:
         raise ContractError(f"temperature must be positive, got {tau}")

@@ -878,12 +878,18 @@ class GradCheckReport:
         return self.max_rel_err < self.tol
 
 
+# central-difference steps, each times max(1, |x_i|)
+FD_STEP_INPUT = 1e-3     # grad_check
+FD_STEP_PARAM = 1e-5     # grad_check_params
+FD_STEP_FALLBACK = 1e-4  # re-probe of a coordinate that fails at its step
+
+
 def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1e-8)
 
 
 def _probe(f, flat: np.ndarray, grad, max_coords, rng: RngState, tol: float,
-           fd_step: float, fd_step_fallback: float | None) -> GradCheckReport:
+           fd_step: float) -> GradCheckReport:
     """Central differences of the scalar ``f()`` against ``grad`` over ``flat``.
 
     ``flat`` is a flat view of what ``f`` reads; more than ``max_coords``
@@ -914,8 +920,8 @@ def _probe(f, flat: np.ndarray, grad, max_coords, rng: RngState, tol: float,
     for i in coords:
         numeric = numeric_at(i, fd_step)
         err = _rel_err(a_flat[i], numeric)
-        if err >= tol and fd_step_fallback is not None:
-            numeric2 = numeric_at(i, fd_step_fallback)
+        if err >= tol:
+            numeric2 = numeric_at(i, FD_STEP_FALLBACK)
             err2 = _rel_err(a_flat[i], numeric2)
             if err2 < err:
                 numeric, err = numeric2, err2
@@ -927,34 +933,32 @@ def _probe(f, flat: np.ndarray, grad, max_coords, rng: RngState, tol: float,
 
 
 def grad_check(f, x: Tensor, tol: float = 1e-4, max_coords=None,
-               rng: RngState | None = None, fd_step: float = 1e-3,
-               fd_step_fallback: float | None = 1e-4) -> GradCheckReport:
+               rng: RngState | None = None) -> GradCheckReport:
     """Compare analytic d f/d x against central differences per coordinate.
 
-    Steps are ``fd_step`` * max(1, |x_i|). A coordinate failing at the
-    primary step is re-probed at ``fd_step_fallback`` and its error is the
-    smaller of the two: the large step can straddle a ReLU/hard-sigmoid/max
-    breakpoint and the small step can drown low-sensitivity coordinates in
-    float64 roundoff, and each probe is immune to the other's artifact. A
-    wrong gradient fails both. ``max_coords`` optionally subsamples the
-    coordinates checked (seeded via ``rng``).
+    A coordinate failing at ``FD_STEP_INPUT`` is re-probed at
+    ``FD_STEP_FALLBACK`` and its error is the smaller of the two: the large
+    step can straddle a ReLU/hard-sigmoid/max breakpoint and the small step
+    can drown low-sensitivity coordinates in float64 roundoff, and each probe
+    is immune to the other's artifact. A wrong gradient fails both.
+    ``max_coords`` optionally subsamples the coordinates checked (seeded via
+    ``rng``).
     """
     leaf = Tensor(x.data.copy(), requires_grad=True, op="gradcheck_leaf")
     backward(f(leaf))
     base = x.data.copy()
     return _probe(lambda: f(Tensor(base)), base.reshape(-1), leaf.grad, max_coords,
-                  rng or RngState(0), tol, fd_step, fd_step_fallback)
+                  rng or RngState(0), tol, FD_STEP_INPUT)
 
 
 def grad_check_params(f, params: dict, tol: float = 1e-4,
                       max_coords_per_param: int = 4,
-                      rng: RngState | None = None, fd_step: float = 1e-5,
-                      fd_step_fallback: float | None = 1e-4) -> dict:
+                      rng: RngState | None = None) -> dict:
     """Check d f()/d p for every named parameter, sampling coordinates.
 
     ``f`` is a zero-argument closure over ``params`` returning a scalar Tensor;
     parameter data is perturbed in place for the finite differences. The
-    default step is smaller than the single-op default because parameter
+    step ``FD_STEP_PARAM`` is smaller than ``grad_check``'s because parameter
     perturbations shift every downstream activation and must stay inside one
     linear piece of the ReLU/hard-sigmoid/max-pool breakpoints; failing
     coordinates are re-probed at the fallback step as in ``grad_check``.
@@ -964,5 +968,5 @@ def grad_check_params(f, params: dict, tol: float = 1e-4,
         p.zero_grad()
     backward(f())
     return {name: _probe(f, p.data.reshape(-1), p.grad, max_coords_per_param, rng,
-                         tol, fd_step, fd_step_fallback)
+                         tol, FD_STEP_PARAM)
             for name, p in params.items()}

@@ -76,7 +76,7 @@ def ablation_runs():
 class TestGradientSuite:
     def test_gradient_suite(self):
         t0 = time.time()
-        results = full_suite(tol=1e-4, quick=False)
+        results = full_suite(quick=False)
         elapsed = time.time() - t0
         worst = max(results, key=lambda r: r.max_rel_err)
         ok = all(r.passed for r in results) and elapsed < 300

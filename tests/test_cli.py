@@ -19,7 +19,7 @@ from lightavseg.tensor import ContractError, RngState
 
 # removed settings that older configs and checkpoints may still name
 REMOVED_KEYS = ("interact_stages", "enable_har", "enable_agve", "enable_cmfd",
-                "snr_db", "ckpt_every")
+                "snr_db", "ckpt_every", "frames_per_scene")
 
 
 def toy_train_args(out, extra=()):
@@ -51,36 +51,31 @@ class TestTrainCli:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["steps"] == 2
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_env_seed_is_not_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIGHTAVSEG_SEED", "41")
-        assert main(toy_train_args(tmp_path / "r")) == 0
-        text = (tmp_path / "r" / "config.txt").read_text()
-        assert "seed=41" in text
+        assert main(toy_train_args(tmp_path / "r", ("--seed", "3"))) == 0
+        lines = (tmp_path / "r" / "config.txt").read_text().splitlines()
+        assert "seed=3" in lines
 
-    @pytest.mark.parametrize("line,env_seed,key", [
-        ("steps=abc", None, "steps"),
-        ("lr=none", None, "lr"),
-        ("hw=none", None, "hw"),
-        ("freeze_audio_backbone=maybe", None, "freeze_audio_backbone"),
-        ("stage_channels=4,x,6,7", None, "stage_channels"),
-        ("steps=1", "abc", "seed"),
-        ("warp_speed=9", None, "warp_speed"),
-        ("loss_variant=seg+avm", None, r"seg\+avm"),
-        *[(f"{key}=1", None, f"unknown config key '{key}'") for key in REMOVED_KEYS],
+    @pytest.mark.parametrize("line,key", [
+        ("steps=abc", "steps"),
+        ("lr=none", "lr"),
+        ("hw=none", "hw"),
+        ("freeze_audio_backbone=maybe", "freeze_audio_backbone"),
+        ("stage_channels=4,x,6,7", "stage_channels"),
+        ("warp_speed=9", "warp_speed"),
+        ("loss_variant=seg+avm", r"seg\+avm"),
+        *[(f"{key}=1", f"unknown config key '{key}'") for key in REMOVED_KEYS],
         # in range for their type, out of range for the run
-        ("audio_channels=-1", None, "audio_channels"),
-        ("stem_channels=0", None, "stem_channels"),
-        ("stage_channels=4,0,6,7", None, "stage_channels"),
-        ("seed=-1", None, "seed"),
-        ("steps=1", "-1", "seed"),
-        ("tau=0", None, "tau"),
-        ("weight_decay=nan", None, "weight_decay"),
-        ("frames_per_scene=-1", None, "frames_per_scene"),
+        ("audio_channels=-1", "audio_channels"),
+        ("stem_channels=0", "stem_channels"),
+        ("stage_channels=4,0,6,7", "stage_channels"),
+        ("seed=-1", "seed"),
+        ("tau=0", "tau"),
+        ("weight_decay=nan", "weight_decay"),
+        ("hw=25", "hw"),
     ])
-    def test_bad_config_value_is_contract_error(self, tmp_path, monkeypatch, capsys,
-                                                line, env_seed, key):
-        if env_seed is not None:
-            monkeypatch.setenv("LIGHTAVSEG_SEED", env_seed)
+    def test_bad_config_value_is_contract_error(self, tmp_path, capsys, line, key):
         cfg = tmp_path / "c.txt"
         cfg.write_text(line + "\n")
         argv = ["train", "--out", str(tmp_path / "r"), "--config", str(cfg)]
@@ -100,6 +95,7 @@ class TestTrainCli:
 
     @pytest.mark.parametrize("flag,value", [
         ("--batch-size", "0"), ("--steps", "-3"), ("--log-every", "0"), ("--lr", "nan"),
+        ("--hw", "16"),
     ])
     def test_out_of_range_flag_fails_cleanly(self, tmp_path, capsys, flag, value):
         assert main(toy_train_args(tmp_path / "r", (flag, value))) == 1
@@ -231,7 +227,11 @@ class TestEvalCli:
         assert arr.shape == (1, 1, 32, 32)
         assert np.all(arr > 0.0) and np.all(arr < 1.0)
 
-    def test_eval_dump_alignment_runs_one_forward_per_scene(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command,dump_flag,forwards", [
+        ("eval", "--dump-alignment", 2), ("inspect", "--out", 1),
+    ], ids=["eval", "inspect"])
+    def test_dump_runs_one_forward_per_scene(self, tmp_path, monkeypatch, command,
+                                             dump_flag, forwards):
         from lightavseg.model import SegModel
         assert main(["train", "--out", str(tmp_path / "run"), "--steps", "0",
                      "--scenes", "2", "--hw", "32"]) == 0
@@ -243,10 +243,23 @@ class TestEvalCli:
             return forward(self, *args, **kwargs)
 
         monkeypatch.setattr(SegModel, "forward", counting_forward)
-        assert main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
-                     "--dump-alignment", str(tmp_path / "align")]) == 0
-        assert len(calls) == 2
-        assert len(list((tmp_path / "align").glob("scene*_scale*.tnsr"))) == 2 * 3
+        assert main([command, "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
+                     dump_flag, str(tmp_path / "dump")]) == 0
+        assert len(calls) == forwards
+        assert len(list((tmp_path / "dump").glob("*scale*.tnsr"))) == forwards * 3
+
+    def test_inspect_alignment_equals_eval_dump(self, tmp_path):
+        assert main(toy_train_args(tmp_path / "run")) == 0
+        ckpt = str(tmp_path / "run" / "ckpt_final.bin")
+        assert main(["eval", "--ckpt", ckpt, "--dump-alignment",
+                     str(tmp_path / "align")]) == 0
+        for k in range(4):
+            assert main(["inspect", "--ckpt", ckpt, "--index", str(k),
+                         "--out", str(tmp_path / f"ins{k}")]) == 0
+            for s in range(3):
+                inspected = (tmp_path / f"ins{k}" / f"alignment_scale{s}.tnsr").read_bytes()
+                dumped = (tmp_path / "align" / f"scene{k:04d}_scale{s}.tnsr").read_bytes()
+                assert inspected == dumped
 
 
 class TestBenchCli:
@@ -303,6 +316,7 @@ class TestOtherCommands:
         ["synth-data", "--out", "d", "--snr-db", "10"],
         ["eval", "--ckpt", "c.bin", "--threshold", "0.3"],
         ["bench", "--module", "fusion", "--channels", "8"],
+        ["gradcheck", "--tol", "1e-2"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_removed_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -312,7 +326,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("flag,value,key", [
         ("--scenes", "0", "n_scenes"), ("--scenes", "-1", "n_scenes"),
-        ("--seed", "-1", "seed"), ("--hw", "0", "hw"),
+        ("--seed", "-1", "seed"), ("--hw", "0", "hw"), ("--hw", "16", "hw"),
+        ("--hw", "25", "hw"),
     ])
     def test_synth_data_out_of_range_fails_cleanly(self, tmp_path, capsys, flag, value,
                                                    key):

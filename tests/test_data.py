@@ -10,11 +10,26 @@ from hypothesis.extra import numpy as hnp
 
 from lightavseg.audio import log_mel, synth_tone
 from lightavseg.data import (
-    TONE_AMPLITUDE, TONE_HZ, DatasetSpec, LoadError, Scene, generate_dataset,
+    MIN_HW, TONE_AMPLITUDE, TONE_HZ, DatasetSpec, LoadError, Scene, generate_dataset,
     generate_scene, load_avsbench_layout, materialize_dataset, save_scene,
 )
 from lightavseg.pngio import _SIGNATURE, _chunk, read_png, write_png
-from lightavseg.tensor import ContractError, RngState
+from lightavseg.tensor import ContractError, RngState, Tensor
+
+
+def save_clips(spec, root, frames):
+    """Write each scene of ``spec`` as a clip of ``frames`` copies of its frame.
+
+    The clip's audio is its tone held for ``frames`` seconds, one window per
+    frame, as a multi-frame clip in the layout has.
+    """
+    for i in range(spec.n_scenes):
+        s = generate_scene(spec, i)
+        save_scene(Scene(frames=Tensor(np.repeat(s.frames.data, frames, axis=0)),
+                         waveform=synth_tone(s.meta["tone_hz"], float(frames),
+                                             TONE_AMPLITUDE),
+                         masks=Tensor(np.repeat(s.masks.data, frames, axis=0)),
+                         meta=s.meta), root / f"scene_{i:05d}")
 
 
 class TestPng:
@@ -110,29 +125,36 @@ class TestSceneGeneration:
 
     def test_scene_sounds_the_tone_of_its_shape(self):
         # scene 2k+s sounds TONE_HZ[s]: only the tone tells the pair's masks apart
-        spec = DatasetSpec(n_scenes=6, hw=32, seed=2, frames_per_scene=2)
+        spec = DatasetSpec(n_scenes=6, hw=32, seed=2)
         for k in range(3):
             pair = [generate_scene(spec, 2 * k + s) for s in (0, 1)]
             for s, scene in enumerate(pair):
-                tone = synth_tone(TONE_HZ[s], 2.0, TONE_AMPLITUDE)
+                tone = synth_tone(TONE_HZ[s], 1.0, TONE_AMPLITUDE)
                 assert scene.meta["tone_hz"] == TONE_HZ[s]
                 np.testing.assert_array_equal(scene.waveform.samples, tone.samples)
             np.testing.assert_array_equal(pair[0].frames.data, pair[1].frames.data)
             assert not np.array_equal(pair[0].masks.data, pair[1].masks.data)
 
-    def test_audio_lengths_match_frame_count(self):
-        spec = DatasetSpec(n_scenes=2, hw=32, seed=4, frames_per_scene=3)
-        s = generate_scene(spec, 0)
+    def test_audio_lengths_match_frame_count(self, tmp_path):
+        save_clips(DatasetSpec(n_scenes=2, hw=32, seed=4), tmp_path, frames=3)
+        s = next(load_avsbench_layout(tmp_path))
         assert s.frames.shape[0] == 3
         assert s.waveform.samples.size == 3 * 16000
         assert log_mel(s.waveform).num_windows == 3
+
+    def test_both_shapes_fit_at_min_hw(self):
+        for seed in range(40):
+            spec = DatasetSpec(n_scenes=2, hw=MIN_HW, seed=seed)
+            a, b = generate_scene(spec, 0), generate_scene(spec, 1)
+            # equal areas: neither footprint is cut by the border
+            assert a.masks.data.sum() == b.masks.data.sum() > 0
 
     def test_index_out_of_range(self):
         with pytest.raises(ContractError):
             generate_scene(DatasetSpec(n_scenes=2), 2)
 
     @pytest.mark.parametrize("key,value", [
-        ("n_scenes", 0), ("n_scenes", -1), ("hw", 0), ("frames_per_scene", 0), ("seed", -1),
+        ("n_scenes", 0), ("n_scenes", -1), ("hw", 0), ("hw", MIN_HW - 1), ("seed", -1),
     ])
     def test_out_of_range_field_rejected(self, key, value):
         with pytest.raises(ContractError, match=f"{key} must be >= "):
@@ -187,8 +209,7 @@ class TestLayout:
         assert victim.name in str(e.value) and "00000.png" in str(e.value)
 
     def test_frame_size_mismatch_names_clip_and_file(self, tmp_path):
-        spec = DatasetSpec(n_scenes=2, hw=32, seed=8, frames_per_scene=2)
-        materialize_dataset(spec, tmp_path)
+        save_clips(DatasetSpec(n_scenes=2, hw=32, seed=8), tmp_path, frames=2)
         victim = sorted(tmp_path.iterdir())[1]
         write_png(victim / "frames" / "00001.png", np.zeros((16, 16, 3), dtype=np.uint8))
         with pytest.raises(LoadError, match="16x16") as e:
@@ -205,7 +226,6 @@ class TestLayout:
         assert victim.name in str(e.value) and "00000.png" in str(e.value)
 
     def test_window_count_matches_frames(self, tmp_path):
-        spec = DatasetSpec(n_scenes=2, hw=32, seed=10, frames_per_scene=2)
-        materialize_dataset(spec, tmp_path)
+        save_clips(DatasetSpec(n_scenes=2, hw=32, seed=10), tmp_path, frames=2)
         for scene in load_avsbench_layout(tmp_path):
             assert log_mel(scene.waveform).num_windows == scene.frames.shape[0]

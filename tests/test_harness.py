@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lightavseg.data import generate_dataset
+from lightavseg.data import MIN_HW, generate_dataset
 from lightavseg.harness import (
     AdamWState, TrainConfig, adamw_step, alignment_separation, config_from_file,
     config_from_mapping, config_to_flat_text, evaluate, load_checkpoint,
@@ -87,8 +87,8 @@ class TestConfig:
         "stage_channels": st.tuples(*[st.integers(1, 512)] * 4),
         "freeze_audio_backbone": st.booleans(),
         **{name: st.integers(low, 2**40) for name, low in (
-            ("batch_size", 1), ("steps", 0), ("seed", 0), ("n_scenes", 1), ("hw", 1),
-            ("audio_channels", 1), ("stem_channels", 1), ("frames_per_scene", 1),
+            ("batch_size", 1), ("steps", 0), ("seed", 0), ("n_scenes", 1),
+            ("hw", MIN_HW), ("audio_channels", 1), ("stem_channels", 1),
             ("log_every", 1))},
     }
 
@@ -131,7 +131,7 @@ class TestConfig:
         ("lr", float("nan")), ("lr", float("inf")), ("lam", float("nan")),
         ("lam", float("inf")), ("tau", float("nan")), ("tau", float("inf")),
         ("tau", 0.0), ("seed", -1), ("weight_decay", float("nan")),
-        ("weight_decay", float("-inf")), ("frames_per_scene", 0),
+        ("weight_decay", float("-inf")), ("hw", MIN_HW - 1),
         ("audio_channels", 0), ("stem_channels", -1),
         ("stage_channels", (4, 5, 0, 7)),
     ])

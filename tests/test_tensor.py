@@ -648,7 +648,7 @@ class TestGradCheckNegativeControl:
             seen.append(t.data.copy())
             return T.tsum(T.mul(t, t))
 
-        grad_check(f, x, tol=0.0, fd_step=1e-3, fd_step_fallback=1e-4)
+        grad_check(f, x, tol=0.0)
         np.testing.assert_array_equal(x.data, x0)
         np.testing.assert_array_equal(seen[0], x0)  # the analytic pass
         probes = seen[1:]
