@@ -4,8 +4,8 @@ The attention block flattens the spatial grid to N tokens and computes a full
 token-to-token affinity matrix, so its cost carries an N^2 term. It exists as
 the quadratic reference against which the gated fusion path's linear scaling
 is demonstrated. Accounting: the two affinity matmuls record 2*N^2*d each
-(scope ``xattn.affinity``), the four channel projections N*d*C each (scope
-``xattn.proj``), so the scope total matches 4*N^2*d + 4*N*d*C exactly.
+(scope ``xattn.affinity``) and the four channel projections N*d*C each, so the
+madd total of scope ``xattn`` matches 4*N^2*d + 4*N*d*C exactly.
 
 ``scaling_sweep`` measures counted FLOPs and median wall time per grid size
 for a chosen module and fits the log-log slope against N = H*W.
@@ -24,7 +24,7 @@ from .decoder import DecoderStageParams, audio_state_update, visual_inject
 from .encoder import EncoderStageParams, agve_step, har_step
 from .layers import Linear1x1
 from .tensor import (
-    FLOPS, ContractError, RngState, Tensor, broadcast_add, matmul, mul,
+    FLOPS, ContractError, RngState, Tensor, broadcast_add, matmul, mul, no_grad,
     reshape, softmax, transpose,
 )
 
@@ -60,10 +60,9 @@ def dense_attention(v: Tensor, audio: AudioState, p: AttentionParams) -> Tensor:
     n = h * w
     with FLOPS.scope("xattn"):
         q_in = broadcast_add(v, audio.value)
-        with FLOPS.scope("xattn.proj"):
-            q = p.query(q_in)
-            k = p.key(v)
-            val = p.value(v)
+        q = p.query(q_in)
+        k = p.key(v)
+        val = p.value(v)
         q_t = transpose(reshape(q, (b, p.d, n)), (0, 2, 1))      # (B, N, d)
         k_flat = reshape(k, (b, p.d, n))                          # (B, d, N)
         v_t = transpose(reshape(val, (b, p.d, n)), (0, 2, 1))     # (B, N, d)
@@ -74,9 +73,7 @@ def dense_attention(v: Tensor, audio: AudioState, p: AttentionParams) -> Tensor:
         with FLOPS.scope("xattn.affinity"):
             mixed = matmul(weights, v_t)                          # (B, N, d)
         mixed = reshape(transpose(mixed, (0, 2, 1)), (b, p.d, h, w))
-        with FLOPS.scope("xattn.proj"):
-            out = p.out(mixed)
-    return out
+        return p.out(mixed)
 
 
 def attention_flops_closed_form(n: int, d: int, c: int) -> tuple[int, int]:
@@ -187,10 +184,11 @@ def scaling_sweep(module: str, grid_sizes, reps: int = 5) -> FlopReport:
             flops = FLOPS.ops("fusion.interaction")
             madds = FLOPS.madds("fusion.interaction")
             elems = FLOPS.elems("fusion.interaction")
+            state_madds = FLOPS.madds("fusion.state")
             wall = _median_wall_ms(lambda: run(g, RngState(INPUT_SEED + g)), reps=reps)
             points.append(FlopPoint("fusion", g * g, flops, wall, madds, elems))
         extra = {"gated_scope": "fusion.interaction",
-                 "state_madds_last": FLOPS.madds("fusion.state")}
+                 "state_madds_last": state_madds}
     elif module == "xattn":
         channels, d = XATTN_CHANNELS, XATTN_D
         p = make_attention_params(channels, d, RngState(INPUT_SEED))
@@ -219,8 +217,6 @@ def component_report(model, hw: int = 224) -> dict:
     ``total_wall_ms`` is the median time of a whole forward, and
     ``unattributed_ms`` the median part of a forward outside the five sections.
     """
-    from .tensor import TIMER, no_grad
-
     rng = RngState(INPUT_SEED)
     frames = Tensor(rng.uniform((1, 3, hw, hw), 0, 1))
     mel = Tensor(rng.uniform((1, 96, 64), -20, 0))
@@ -233,12 +229,12 @@ def component_report(model, hw: int = 224) -> dict:
 
     times, totals = [], []
     for _ in range(REPORT_REPS):
-        TIMER.reset()
+        FLOPS.reset()
         t0 = time.perf_counter()
         with no_grad():
             model.forward(frames, mel)
         totals.append((time.perf_counter() - t0) * 1e3)
-        times.append({n: TIMER.seconds(n) * 1e3 for n in names})
+        times.append({n: FLOPS.seconds(n) * 1e3 for n in names})
     med = {n: float(np.median([t[n] for t in times])) for n in names}
     total_ms = float(np.median(totals))
     rest = [max(0.0, tot - sum(t.values())) for tot, t in zip(totals, times)]

@@ -221,7 +221,7 @@ def _cmd_synth_data(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from .data import generate_scene, load_avsbench_layout
+    from .data import clip_dirs, generate_scene, load_clip
     from .harness import (
         evaluate, frame_alignment_maps, load_checkpoint, model_from_checkpoint,
         predict_foreground,
@@ -231,10 +231,10 @@ def _cmd_inspect(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     model, cfg = model_from_checkpoint(ckpt)
     if args.data:
-        scenes = list(load_avsbench_layout(args.data))
-        if not 0 <= args.index < len(scenes):
-            raise ContractError(f"--index {args.index} is outside the {len(scenes)} clips")
-        scene = scenes[args.index]
+        clips = clip_dirs(args.data)
+        if not 0 <= args.index < len(clips):
+            raise ContractError(f"--index {args.index} is outside the {len(clips)} clips")
+        scene = load_clip(clips[args.index])
     else:
         scene = generate_scene(cfg.dataset_spec(), args.index)
     out_dir = Path(args.out)
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ContractError, DimensionError, NumericalError, FileNotFoundError) as e:
+    except (ContractError, DimensionError, NumericalError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

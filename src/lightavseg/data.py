@@ -17,6 +17,7 @@ On-disk layout (one directory per clip):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,14 +82,13 @@ def _shape_footprint(kind: int, cy: int, cx: int, half: int, hw: int) -> np.ndar
     return (ys - cy) ** 2 + (xs - cx) ** 2 <= half * half  # circle
 
 
-def generate_scene(spec: DatasetSpec, index: int) -> Scene:
-    """Deterministic one-frame scene for (spec.seed, index); pairs share frames."""
-    if not 0 <= index < spec.n_scenes:
-        raise ContractError(f"scene index {index} is outside [0, {spec.n_scenes})")
-    pair, sounding = divmod(index, 2)
-    rng = _layout_rng(spec.seed, pair)
-    hw = spec.hw
+@functools.lru_cache(maxsize=1)
+def _pair_layout(seed: int, hw: int, pair: int):
+    """Read-only frame and footprints of a scene pair, its kind, centers, extent.
 
+    The one-entry cache renders a pair once when scenes come in index order.
+    """
+    rng = _layout_rng(seed, pair)
     image = _render_background(rng, hw)
     kind = int(rng.integers(0, 2))
     color = rng.uniform((3,), 0.55, 0.95)
@@ -99,26 +99,37 @@ def generate_scene(spec: DatasetSpec, index: int) -> Scene:
     split_on_y = int(rng.integers(0, 2)) == 0
     lo_hi = hw // 2 - half - 1
     hi_lo = hw // 2 + half + 1
-    footprints = []
+    footprints, centers = [], []
     for side in (0, 1):
         split = int(rng.integers(margin, lo_hi)) if side == 0 else \
             int(rng.integers(hi_lo, hw - margin))
         free = int(rng.integers(margin, hw - margin))
         cy, cx = (split, free) if split_on_y else (free, split)
-        footprints.append((_shape_footprint(kind, cy, cx, half, hw), (cy, cx)))
+        footprints.append(_shape_footprint(kind, cy, cx, half, hw))
+        centers.append((cy, cx))
 
-    for fp, _ in footprints:
+    for fp in footprints:
         image[:, fp] = color[:, None]
+    frame = np.clip(image[None], 0.0, 1.0)
+    for arr in (frame, *footprints):
+        arr.flags.writeable = False
+    return frame, footprints, kind, centers, half
 
-    mask = footprints[sounding][0].astype(np.float64)
+
+def generate_scene(spec: DatasetSpec, index: int) -> Scene:
+    """Deterministic one-frame scene for (spec.seed, index); pairs share frames."""
+    if not 0 <= index < spec.n_scenes:
+        raise ContractError(f"scene index {index} is outside [0, {spec.n_scenes})")
+    pair, sounding = divmod(index, 2)
+    frame, footprints, kind, centers, half = _pair_layout(spec.seed, spec.hw, pair)
     freq = TONE_HZ[sounding]
     return Scene(
-        frames=Tensor(np.clip(image[None], 0.0, 1.0)),
+        frames=Tensor(frame.copy()),  # each scene owns a writable frame
         waveform=synth_tone(freq, 1.0, TONE_AMPLITUDE),
-        masks=Tensor(mask[None, None]),
+        masks=Tensor(footprints[sounding].astype(np.float64)[None, None]),
         meta={"index": index, "pair": pair, "sounding_shape": sounding,
               "tone_hz": freq, "kind": "square" if kind == 0 else "circle",
-              "centers": [c for _, c in footprints], "half_extent": half},
+              "centers": list(centers), "half_extent": half},
     )
 
 
@@ -162,50 +173,60 @@ def _check_size(vid: str, what: str, path: Path, arr: np.ndarray, size: tuple):
                         f"(HxW) but the clip's first frame is {size[0]}x{size[1]}")
 
 
+def clip_dirs(root) -> list[Path]:
+    """The clip directories under a layout root, in load order."""
+    root = Path(root)
+    if not root.is_dir():
+        raise LoadError(f"{root}: data root is not a directory")
+    return sorted(p for p in root.iterdir() if p.is_dir())
+
+
+def load_clip(clip_dir) -> Scene:
+    """One clip of the layout; a departure from the layout raises LoadError."""
+    clip_dir = Path(clip_dir)
+    vid = clip_dir.name
+    frame_files = sorted((clip_dir / "frames").glob("*.png"))
+    mask_files = sorted((clip_dir / "masks").glob("*.png"))
+    wav_path = clip_dir / "audio.wav"
+    if not frame_files:
+        raise LoadError(f"{vid}: no frames found")
+    if len(frame_files) != len(mask_files):
+        raise LoadError(f"{vid}: {len(frame_files)} frames but "
+                        f"{len(mask_files)} masks")
+    if not wav_path.exists():
+        raise LoadError(f"{vid}: missing audio.wav")
+
+    frame_arrays, size = [], None
+    for p in frame_files:
+        f = read_png(p)
+        if f.ndim != 3:
+            raise LoadError(f"{vid}: frame {p.name} is not RGB")
+        size = size or f.shape[:2]
+        _check_size(vid, "frame", p, f, size)
+        frame_arrays.append(f.astype(np.float64).transpose(2, 0, 1) / 255.0)
+    frames = np.stack(frame_arrays)
+    mask_arrays = []
+    for p in mask_files:
+        m = read_png(p)
+        if m.ndim != 2:
+            raise LoadError(f"{vid}: mask {p.name} is not grayscale")
+        _check_size(vid, "mask", p, m, size)
+        mask_arrays.append((m > 127).astype(np.float64))
+    masks = np.stack(mask_arrays)[:, None]
+
+    wave = resample_to_16k(read_wav(wav_path))
+    windows = num_windows(wave)
+    if windows != len(frame_files):
+        raise LoadError(f"{vid}: {windows} audio windows for "
+                        f"{len(frame_files)} frames")
+    return Scene(frames=Tensor(frames), waveform=wave, masks=Tensor(masks),
+                 meta={"video_id": vid})
+
+
 def load_avsbench_layout(root):
     """Lazily yield Scenes from the documented directory layout.
 
     A root that is not a directory raises LoadError on the first ``next``, as
     does a clip whose frames or masks differ in size from its first frame.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise LoadError(f"{root}: data root is not a directory")
-    for clip_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        vid = clip_dir.name
-        frame_files = sorted((clip_dir / "frames").glob("*.png"))
-        mask_files = sorted((clip_dir / "masks").glob("*.png"))
-        wav_path = clip_dir / "audio.wav"
-        if not frame_files:
-            raise LoadError(f"{vid}: no frames found")
-        if len(frame_files) != len(mask_files):
-            raise LoadError(f"{vid}: {len(frame_files)} frames but "
-                            f"{len(mask_files)} masks")
-        if not wav_path.exists():
-            raise LoadError(f"{vid}: missing audio.wav")
-
-        frame_arrays, size = [], None
-        for p in frame_files:
-            f = read_png(p)
-            if f.ndim != 3:
-                raise LoadError(f"{vid}: frame {p.name} is not RGB")
-            size = size or f.shape[:2]
-            _check_size(vid, "frame", p, f, size)
-            frame_arrays.append(f.astype(np.float64).transpose(2, 0, 1) / 255.0)
-        frames = np.stack(frame_arrays)
-        mask_arrays = []
-        for p in mask_files:
-            m = read_png(p)
-            if m.ndim != 2:
-                raise LoadError(f"{vid}: mask {p.name} is not grayscale")
-            _check_size(vid, "mask", p, m, size)
-            mask_arrays.append((m > 127).astype(np.float64))
-        masks = np.stack(mask_arrays)[:, None]
-
-        wave = resample_to_16k(read_wav(wav_path))
-        windows = num_windows(wave)
-        if windows != len(frame_files):
-            raise LoadError(f"{vid}: {windows} audio windows for "
-                            f"{len(frame_files)} frames")
-        yield Scene(frames=Tensor(frames), waveform=wave, masks=Tensor(masks),
-                    meta={"video_id": vid})
+    yield from map(load_clip, clip_dirs(root))

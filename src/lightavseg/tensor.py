@@ -17,7 +17,8 @@ FLOP accounting convention (forward pass only):
     (multiply and add counted separately), the usual dense-attention bookkeeping.
   * ``elems``  -- one op per element for everything elementwise: additions,
     Hadamard products, activations, comparisons (max pooling), interpolation.
-Counts accumulate into every named scope currently open via ``FLOPS.scope``.
+Counts accumulate into every named scope currently open via ``FLOPS.scope``,
+which also times each scope.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import functools
 import math
 import os
 import struct
+import time
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -82,32 +84,34 @@ def read_array(f, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class FlopCounter:
-    """Additive, resettable multiply-add / elementwise-op counter.
+    """Additive, resettable multiply-add / elementwise-op counter and scope timer.
 
     Scopes are plain string labels opened with ``scope``; an op's cost is added
-    to every open scope plus the grand total. Scope totals are order-independent
-    and additive, so nested and repeated scopes simply accumulate.
+    to every open scope plus the grand total, and ``seconds`` gives the wall
+    time spent inside a scope. Totals are order-independent and additive, so
+    nested and repeated scopes simply accumulate. A scope cannot be opened
+    inside itself.
     """
 
     TOTAL = "total"
 
     def __init__(self):
-        self._stack: list[str] = []
-        self._open: tuple[str, ...] = (self.TOTAL,)  # distinct open scopes and TOTAL
+        self._open: list[str] = [self.TOTAL]
         self._madds: dict[str, int] = defaultdict(int)
         self._elems: dict[str, int] = defaultdict(int)
+        self._seconds: dict[str, float] = defaultdict(float)
 
     @contextmanager
     def scope(self, name: str):
-        self._stack.append(name)
-        if name not in self._open:
-            self._open += (name,)
+        if name in self._open:
+            raise ContractError(f"scope {name!r} is already open")
+        self._open.append(name)
+        t0 = time.perf_counter()
         try:
             yield self
         finally:
-            self._stack.pop()
-            if name != self.TOTAL and name not in self._stack:
-                self._open = tuple(n for n in self._open if n != name)
+            self._seconds[name] += time.perf_counter() - t0
+            self._open.pop()
 
     def add(self, madds: int = 0, elems: int = 0):
         if madds:
@@ -127,9 +131,13 @@ class FlopCounter:
         """Combined count: madds plus elementwise ops."""
         return self.madds(scope) + self.elems(scope)
 
+    def seconds(self, scope: str) -> float:
+        return self._seconds.get(scope, 0.0)
+
     def reset(self):
         self._madds.clear()
         self._elems.clear()
+        self._seconds.clear()
 
     def report(self) -> dict:
         scopes = sorted(set(self._madds) | set(self._elems))
@@ -140,38 +148,7 @@ class FlopCounter:
 
 
 FLOPS = FlopCounter()
-
-
-class ScopeTimer:
-    """Wall-clock accumulator keyed by scope name (perf_counter based)."""
-
-    def __init__(self):
-        self._seconds: dict[str, float] = defaultdict(float)
-
-    @contextmanager
-    def scope(self, name: str):
-        import time
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self._seconds[name] += time.perf_counter() - t0
-
-    def seconds(self, name: str) -> float:
-        return self._seconds.get(name, 0.0)
-
-    def reset(self):
-        self._seconds.clear()
-
-
-TIMER = ScopeTimer()
-
-
-@contextmanager
-def section(name: str):
-    """FLOP scope and wall-time scope under one name."""
-    with FLOPS.scope(name), TIMER.scope(name):
-        yield
+section = FLOPS.scope  # the model's five named sections
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,11 @@ class TestScalingSweep:
         ratio = xattn.points[1].flops / xattn.points[0].flops
         assert abs(ratio - 16.0) <= 0.32
 
+    def test_fusion_state_madds_are_one_forward(self):
+        # 512 encoder plus 1536 decoder madds at 16 channels, however many reps
+        rep = scaling_sweep("fusion", [28, 56], reps=5)
+        assert rep.extra["state_madds_last"] == 2048
+
     def test_csv_format(self):
         rep = scaling_sweep("fusion", [28, 56], reps=1)
         lines = rep.to_csv().strip().splitlines()

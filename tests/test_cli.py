@@ -354,6 +354,38 @@ class TestOtherCommands:
         assert (tmp_path / "ins" / "pred_mask.png").exists()
         assert (tmp_path / "ins" / "alignment_scale0.tnsr").exists()
 
+    def test_inspect_data_reads_only_its_clip(self, tmp_path, monkeypatch):
+        from lightavseg import data
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        assert main(["synth-data", "--out", str(tmp_path / "d"), "--scenes", "4",
+                     "--hw", "32"]) == 0
+        reads = []
+        read_png = data.read_png
+        monkeypatch.setattr(data, "read_png", lambda p: reads.append(p) or read_png(p))
+        assert main(["inspect", "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
+                     "--index", "2", "--data", str(tmp_path / "d"),
+                     "--out", str(tmp_path / "ins")]) == 0
+        assert [p.parent.parent.name for p in reads] == ["scene_00002"] * 2
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--ckpt", "{dir}"],
+        ["eval", "--ckpt", "{ckpt}", "--out", "{dir}"],
+        ["eval", "--ckpt", "{ckpt}", "--dump-alignment", "{file}"],
+        ["train", "--steps", "0", "--scenes", "2", "--hw", "32", "--out", "{file}"],
+        ["synth-data", "--scenes", "2", "--hw", "32", "--out", "{file}"],
+    ], ids=["eval-ckpt-dir", "eval-out-dir", "eval-dump-file", "train-out-file",
+            "synth-data-out-file"])
+    def test_os_error_is_an_error_line(self, tmp_path, capsys, argv):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("not a directory")
+        paths = {"dir": tmp_path / "dir", "file": tmp_path / "file",
+                 "ckpt": tmp_path / "run" / "ckpt_final.bin"}
+        capsys.readouterr()
+        assert main([a.format(**paths) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("with_data,index", [(True, 5), (True, -1), (False, -1),
                                                  (False, 4)])
     def test_inspect_index_out_of_range_fails_cleanly(self, tmp_path, capsys,

@@ -113,10 +113,25 @@ class TestSceneGeneration:
     def test_deterministic_per_seed_and_index(self):
         spec = DatasetSpec(n_scenes=4, hw=32, seed=9)
         a = generate_scene(spec, 2)
+        generate_scene(spec, 0)  # renders another pair, so b renders its own frame
         b = generate_scene(spec, 2)
         np.testing.assert_array_equal(a.frames.data, b.frames.data)
         np.testing.assert_array_equal(a.waveform.samples, b.waveform.samples)
         np.testing.assert_array_equal(a.masks.data, b.masks.data)
+
+    def test_each_pair_is_rendered_once(self, monkeypatch):
+        from lightavseg import data
+        calls = []
+        render = data._render_background
+        monkeypatch.setattr(data, "_render_background",
+                            lambda rng, hw: calls.append(hw) or render(rng, hw))
+        spec = DatasetSpec(n_scenes=6, hw=33, seed=12)
+        scenes = generate_dataset(spec)
+        assert calls == [33] * 3
+        # each scene owns its frame: writing one leaves its pair and the cache alone
+        scenes[0].frames.data[:] = 0.0
+        assert scenes[1].frames.data.min() > 0.0
+        assert generate_scene(spec, 0).frames.data.min() > 0.0
 
     def test_different_seeds_differ(self):
         a = generate_scene(DatasetSpec(n_scenes=2, hw=32, seed=0), 0)

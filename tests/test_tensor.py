@@ -1,5 +1,6 @@
 """Tensor core: op semantics, gradients vs central differences, FLOP counters."""
 
+import time
 import weakref
 
 import numpy as np
@@ -592,18 +593,32 @@ class TestFlopCounter:
         assert FLOPS.madds("outer") == FLOPS.madds("inner") == 2 * 2 * 2 * 2
         assert FLOPS.madds() == FLOPS.madds("outer")
 
-    def test_scope_nested_in_itself_counts_once(self):
+    def test_scope_cannot_open_inside_itself(self):
         c = T.FlopCounter()
         with c.scope("a"):
-            with c.scope("a"), c.scope(c.TOTAL):
-                c.add(elems=1)
-            c.add(elems=10)              # the outer "a" is still open
+            for name in ("a", c.TOTAL):
+                with pytest.raises(ContractError, match="already open"):
+                    with c.scope(name):
+                        pass
+            c.add(elems=10)              # the outer "a" is still open, once
             with c.scope("b"):
                 c.add(madds=100)
         c.add(elems=1000)
-        assert c.report() == {"a": {"madds": 100, "elems": 11},
+        assert c.report() == {"a": {"madds": 100, "elems": 10},
                               "b": {"madds": 100, "elems": 0},
-                              "total": {"madds": 100, "elems": 1011}}
+                              "total": {"madds": 100, "elems": 1010}}
+
+    def test_section_wall_time_lands_in_seconds_and_reset_clears_it(self):
+        FLOPS.reset()
+        t0 = time.perf_counter()
+        for _ in range(2):
+            with T.section("seg_head"):
+                time.sleep(0.002)
+        outer = time.perf_counter() - t0
+        assert 0.004 <= FLOPS.seconds("seg_head") <= outer
+        assert FLOPS.seconds("decoder_fusion") == 0.0
+        FLOPS.reset()
+        assert FLOPS.seconds("seg_head") == 0.0
 
     def test_reset_clears_all(self):
         with FLOPS.scope("x"):
