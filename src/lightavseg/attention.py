@@ -7,8 +7,10 @@ is demonstrated. Accounting: the two affinity matmuls record 2*N^2*d each
 (scope ``xattn.affinity``) and the four channel projections N*d*C each, so the
 madd total of scope ``xattn`` matches 4*N^2*d + 4*N*d*C exactly.
 
-``scaling_sweep`` measures counted FLOPs and median wall time per grid size
-for a chosen module and fits the log-log slope against N = H*W.
+``fusion_step`` is the linear path: one encoder refinement plus one decoder
+update, as the gradient suite checks it. ``scaling_sweep`` measures counted
+FLOPs and the median no-grad wall time of one module's forward per grid size
+and fits the log-log slope against N = H*W.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -149,66 +152,55 @@ def fusion_stage_params(c: int, rng: RngState):
     return enc_p, dec_p
 
 
-def _fusion_step_fixture(channels: int, seed: int):
-    """One encoder refinement plus one decoder update at a fixed width."""
-    enc_p, dec_p = fusion_stage_params(channels, RngState(seed))
-
-    def run(grid: int, data_rng: RngState):
-        v = Tensor(data_rng.uniform((1, channels, grid, grid), -1, 1))
-        a = AudioState(Tensor(data_rng.uniform((1, channels, 1, 1), -1, 1)))
-        refined = har_step(a, v, enc_p)
-        enhanced = agve_step(v, refined)
-        a_hat = audio_state_update(refined, refined, enhanced, dec_p)
-        visual_inject(enhanced, a_hat, dec_p)
-
-    return run
+def fusion_step(v: Tensor, a: AudioState, enc_p: EncoderStageParams,
+                dec_p: DecoderStageParams) -> Tensor:
+    """One encoder refinement plus one decoder update (HAR, AGVE, state, inject)."""
+    refined = har_step(a, v, enc_p)
+    enhanced = agve_step(v, refined)
+    a_hat = audio_state_update(refined, refined, enhanced, dec_p)
+    return visual_inject(enhanced, a_hat, dec_p)
 
 
 def scaling_sweep(module: str, grid_sizes, reps: int = 5) -> FlopReport:
     """Counted FLOPs and median-of-``reps`` wall time across grid sizes.
 
-    ``module`` is ``fusion`` (gated channel interaction; the gated count is
-    the grid-dependent interaction scope) or ``xattn`` (dense attention; the
-    gated count is the N^2 affinity term).
+    ``module`` is ``fusion`` (``fusion_step``; the gated count is the
+    grid-dependent interaction scope) or ``xattn`` (``dense_attention``; the
+    gated count is the N^2 affinity term). Each grid's inputs are drawn once;
+    every count is read from one forward, and ``wall_ms`` is the median
+    no-grad forward of the module alone on those inputs.
     """
     grid_sizes = list(grid_sizes)
     if any(b <= a for a, b in zip(grid_sizes, grid_sizes[1:])):
         raise ContractError(f"grid sizes must be strictly increasing: {grid_sizes}")
-    points = []
     if module == "fusion":
-        channels = FUSION_CHANNELS
-        run = _fusion_step_fixture(channels, INPUT_SEED)
-        for g in grid_sizes:
-            FLOPS.reset()
-            run(g, RngState(INPUT_SEED + g))
-            flops = FLOPS.ops("fusion.interaction")
-            madds = FLOPS.madds("fusion.interaction")
-            elems = FLOPS.elems("fusion.interaction")
-            state_madds = FLOPS.madds("fusion.state")
-            wall = _median_wall_ms(lambda: run(g, RngState(INPUT_SEED + g)), reps=reps)
-            points.append(FlopPoint("fusion", g * g, flops, wall, madds, elems))
-        extra = {"gated_scope": "fusion.interaction",
-                 "state_madds_last": state_madds}
+        channels, gated = FUSION_CHANNELS, "fusion.interaction"
+        counted = gated
+        enc_p, dec_p = fusion_stage_params(channels, RngState(INPUT_SEED))
+        forward = partial(fusion_step, enc_p=enc_p, dec_p=dec_p)
     elif module == "xattn":
-        channels, d = XATTN_CHANNELS, XATTN_D
-        p = make_attention_params(channels, d, RngState(INPUT_SEED))
-        for g in grid_sizes:
-            data_rng = RngState(INPUT_SEED + g)
-            v = Tensor(data_rng.uniform((1, channels, g, g), -1, 1))
-            a = AudioState(Tensor(data_rng.uniform((1, channels, 1, 1), -1, 1)))
-            FLOPS.reset()
-            dense_attention(v, a, p)
-            flops = FLOPS.madds("xattn.affinity")
-            madds = FLOPS.madds("xattn")
-            elems = FLOPS.elems("xattn")
-            wall = _median_wall_ms(lambda: dense_attention(v, a, p), reps=reps)
-            points.append(FlopPoint("xattn", g * g, flops, wall, madds, elems))
-        extra = {"gated_scope": "xattn.affinity", "d": d}
+        channels, gated, counted = XATTN_CHANNELS, "xattn.affinity", "xattn"
+        forward = partial(dense_attention,
+                          p=make_attention_params(channels, XATTN_D, RngState(INPUT_SEED)))
     else:
         raise ContractError(f"unknown sweep module {module!r} (want fusion or xattn)")
+    points = []
+    for g in grid_sizes:
+        data_rng = RngState(INPUT_SEED + g)
+        v = Tensor(data_rng.uniform((1, channels, g, g), -1, 1))
+        a = AudioState(Tensor(data_rng.uniform((1, channels, 1, 1), -1, 1)))
+        with no_grad():
+            FLOPS.reset()
+            forward(v, a)
+            flops, madds, elems = (FLOPS.ops(gated), FLOPS.madds(counted),
+                                   FLOPS.elems(counted))
+            state_madds = FLOPS.madds("fusion.state")
+            wall = _median_wall_ms(lambda: forward(v, a), reps=reps)
+        points.append(FlopPoint(module, g * g, flops, wall, madds, elems))
+    extra = {"state_madds_last": state_madds} if module == "fusion" else {"d": XATTN_D}
     slope = fit_loglog_slope([pt.n for pt in points], [pt.flops for pt in points])
-    return FlopReport(module=module, points=points, slope=slope,
-                      channels=channels, extra=extra)
+    return FlopReport(module=module, points=points, slope=slope, channels=channels,
+                      extra={"gated_scope": gated, **extra})
 
 
 def component_report(model, hw: int = 224) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
@@ -161,12 +162,14 @@ def _cmd_eval(args) -> int:
             for s_idx, m in enumerate(maps):
                 write_tensor_file(dump_dir / f"scene{i:04d}_scale{s_idx}.tnsr", m)
 
-    report = evaluate(model, scenes, mute_audio=args.mute_audio, on_scene=dump_scene)
-    line = json.dumps({k: v for k, v in report.items() if k != "per_scene"},
-                      sort_keys=True)
-    print(line)
-    if args.out:
-        Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=1))
+    # --out is opened before the first forward, so a bad path fails at once
+    with open(args.out, "w") if args.out else nullcontext() as out_f:
+        report = evaluate(model, scenes, mute_audio=args.mute_audio,
+                          on_scene=dump_scene)
+        print(json.dumps({k: v for k, v in report.items() if k != "per_scene"},
+                         sort_keys=True))
+        if out_f is not None:
+            out_f.write(json.dumps(report, sort_keys=True, indent=1))
     return 0
 
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import dense_attention, fusion_stage_params, make_attention_params
+from .attention import (
+    dense_attention, fusion_stage_params, fusion_step, make_attention_params,
+)
 from .backbones import AudioState
-from .decoder import audio_state_update, visual_inject
 from .encoder import agve_step, har_step
 from .losses import total_loss
 from .model import ModelConfig, SegModel
@@ -101,13 +102,8 @@ def module_checks() -> list[CheckResult]:
     v = Tensor(rng.uniform((1, c, 3, 3), -1, 1))
     a = Tensor(rng.uniform((1, c, 1, 1), -1, 1))
 
-    def fusion_fn(t):
-        state = har_step(AudioState(a), t, enc_p)
-        enhanced = agve_step(t, state)
-        updated = audio_state_update(state, state, enhanced, dec_p)
-        return _sq(visual_inject(enhanced, updated, dec_p))
-
-    run("fusion_step(visual)", fusion_fn, v)
+    run("fusion_step(visual)",
+        lambda t: _sq(fusion_step(t, AudioState(a), enc_p, dec_p)), v)
 
     def fusion_audio_fn(t):
         state = har_step(AudioState(t), v, enc_p)

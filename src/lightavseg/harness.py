@@ -6,8 +6,9 @@ frozen (the default). Everything is seeded through counter-based RNG streams,
 so two runs with the same config produce bit-identical logs and checkpoints.
 
 Checkpoint format (little-endian):
-    magic 'AVSC', u32 version, u32 json_len, config JSON, u64 step,
-    u64 adam_t, i64 rng_seed, u64 rng_counter, u32 n_entries,
+    magic 'AVSC', u32 version (2), u32 config_len, config text (the key=value
+    lines of a run's config.txt, utf8), u64 step, u64 adam_t, i64 rng_seed,
+    u64 rng_counter, u32 n_entries,
     then per entry: u32 name_len, name utf8, u32 ndim, u32 dims..., f64 data.
 Optimizer moments are stored as entries named 'adam.m/<param>' and
 'adam.v/<param>'.
@@ -15,7 +16,6 @@ Optimizer moments are stored as entries named 'adam.m/<param>' and
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import struct
@@ -30,12 +30,12 @@ from .data import DatasetSpec, generate_dataset
 from .losses import alignment_maps, foreground_mask, fscore, miou, total_loss
 from .model import ModelConfig, SegModel
 from .tensor import (
-    ContractError, RngState, Tensor, _read_exact, _sigmoid_data, backward,
-    bilinear_upsample, no_grad, read_array, write_array,
+    ContractError, DimensionError, RngState, Tensor, _read_exact, _sigmoid_data,
+    backward, bilinear_upsample, no_grad, read_array, write_array,
 )
 
 CKPT_MAGIC = b"AVSC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -98,8 +98,6 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _parse_value(name: str, raw, ftype):
     """One config value: a literal is parsed by ``ftype``, a typed value kept."""
-    if raw is None:  # a JSON null in a checkpoint's config
-        raise ContractError(f"config key {name}: null is not a valid {ftype.__name__}")
     if not isinstance(raw, str):
         return raw
     raw = raw.strip()
@@ -113,7 +111,7 @@ def _parse_value(name: str, raw, ftype):
         raise ContractError(f"config key {name}: bad {ftype.__name__} {raw!r}") from None
 
 
-def config_from_mapping(mapping: dict, base: TrainConfig | None = None) -> TrainConfig:
+def config_from_mapping(mapping: dict) -> TrainConfig:
     """Build a TrainConfig from string or typed values, validating keys."""
     parsed = {}
     for key, raw in mapping.items():
@@ -121,12 +119,20 @@ def config_from_mapping(mapping: dict, base: TrainConfig | None = None) -> Train
         if name not in _FIELD_TYPES:
             raise ContractError(f"unknown config key {key!r}")
         parsed[name] = _parse_value(name, raw, _FIELD_TYPES[name])
-    return dataclasses.replace(base or TrainConfig(), **parsed)
+    return TrainConfig(**parsed)
 
 
-def config_from_file(path, overrides: dict | None = None) -> TrainConfig:
+def _utf8(data: bytes, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ContractError(f"{what} is not UTF-8 ({e})") from None
+
+
+def config_from_text(text: str, overrides: dict | None = None) -> TrainConfig:
+    """Parse flat key=value lines, as ``config_to_flat_text`` writes them."""
     mapping = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -137,6 +143,11 @@ def config_from_file(path, overrides: dict | None = None) -> TrainConfig:
     if overrides:
         mapping.update(overrides)
     return config_from_mapping(mapping)
+
+
+def config_from_file(path, overrides: dict | None = None) -> TrainConfig:
+    return config_from_text(_utf8(Path(path).read_bytes(), f"config file {path}"),
+                            overrides)
 
 
 def config_to_flat_text(cfg: TrainConfig) -> str:
@@ -197,7 +208,7 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, cfg: TrainConfig,
 @dataclass
 class Checkpoint:
     version: int
-    config: dict
+    config: TrainConfig
     params: dict
     adam_m: dict
     adam_v: dict
@@ -212,15 +223,15 @@ def _unpack(f, fmt: str, what: str):
 
 def save_checkpoint(path, cfg: TrainConfig, params: dict, state: AdamWState,
                     rng: RngState, step: int):
-    cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
+    cfg_text = config_to_flat_text(cfg).encode("utf-8")
     entries = [(n, p.data) for n, p in sorted(params.items())]
     entries += [(f"adam.m/{n}", a) for n, a in sorted(state.m.items())]
     entries += [(f"adam.v/{n}", a) for n, a in sorted(state.v.items())]
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<I", len(cfg_json)))
-        f.write(cfg_json)
+        f.write(struct.pack("<I", len(cfg_text)))
+        f.write(cfg_text)
         f.write(struct.pack("<Q", step))
         f.write(struct.pack("<Q", state.t))
         f.write(struct.pack("<q", rng.seed))
@@ -240,17 +251,16 @@ def load_checkpoint(path) -> Checkpoint:
         if version != CKPT_VERSION:
             raise ContractError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = _unpack(f, "<I", "config length")
+        text = _utf8(_read_exact(f, cfg_len, "config"), f"{path}: checkpoint config")
         try:
-            config = json.loads(_read_exact(f, cfg_len, "config").decode("utf-8"))
-        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
-            raise ContractError(f"{path}: corrupt checkpoint config ({e})") from None
-        if not isinstance(config, dict):
-            raise ContractError(f"{path}: checkpoint config is not a key-value object")
+            config = config_from_text(text)
+        except (ContractError, DimensionError) as e:
+            raise ContractError(f"{path}: checkpoint config: {e}") from None
         step, adam_t, seed, counter, n_entries = _unpack(f, "<QQqQI", "header")
         params, adam_m, adam_v = {}, {}, {}
         for _ in range(n_entries):
             (nlen,) = _unpack(f, "<I", "entry name length")
-            name = _read_exact(f, nlen, "entry name").decode("utf-8")
+            name = _utf8(_read_exact(f, nlen, "entry name"), f"{path}: entry name")
             arr = read_array(f, repr(name))
             if name.startswith("adam.m/"):
                 adam_m[name[len("adam.m/"):]] = arr
@@ -264,10 +274,9 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[SegModel, TrainConfig]:
-    cfg = config_from_mapping(ckpt.config)
-    model = SegModel(cfg.model_config(), RngState(cfg.seed))
+    model = SegModel(ckpt.config.model_config(), RngState(ckpt.config.seed))
     model.load_state(ckpt.params)
-    return model, cfg
+    return model, ckpt.config
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +291,11 @@ class TrainResult:
     batch_rng: RngState
 
 
+def _scene_id(scene):
+    """A synthetic scene's index or a loaded clip's directory name."""
+    return scene.meta.get("index", scene.meta.get("video_id"))
+
+
 def train(cfg: TrainConfig, scenes: list | None = None,
           out_dir=None) -> TrainResult:
     """Run the training loop; scenes default to the config's synthetic set."""
@@ -289,6 +303,14 @@ def train(cfg: TrainConfig, scenes: list | None = None,
         scenes = generate_dataset(cfg.dataset_spec())
     if not scenes:
         raise ContractError("training dataset is empty")
+    # a batch stacks frames, so every clip needs the first clip's frame size
+    h, w = scenes[0].frames.shape[2:]
+    for s in scenes:
+        if s.frames.shape[2:] != (h, w):
+            raise ContractError(
+                f"clip {_scene_id(s)} has {s.frames.shape[2]}x{s.frames.shape[3]} "
+                f"(HxW) frames but clip {_scene_id(scenes[0])} has {h}x{w}; "
+                "training needs one frame size")
     # per-scene arrays, the mel windows computed once for the whole run
     frames_np = [s.frames.data for s in scenes]
     masks_np = [s.masks.data for s in scenes]
@@ -388,7 +410,7 @@ def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
         pred = predict_foreground(seg.logits.data)
         gt = scene.masks.data > 0.5
         per_scene.append({
-            "index": scene.meta.get("index", scene.meta.get("video_id")),
+            "index": _scene_id(scene),
             "miou": miou(pred, gt),
             "fscore": fscore(pred, gt),
         })

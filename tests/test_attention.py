@@ -85,6 +85,24 @@ class TestScalingSweep:
         rep = scaling_sweep("fusion", [28, 56], reps=5)
         assert rep.extra["state_madds_last"] == 2048
 
+    def test_fusion_inputs_are_drawn_before_the_timed_reps(self, monkeypatch):
+        from lightavseg import attention
+        draws, timed = [], []
+        uniform = RngState.uniform
+        monkeypatch.setattr(RngState, "uniform",
+                            lambda self, *a, **k: draws.append(1) or uniform(self, *a, **k))
+        median = attention._median_wall_ms
+
+        def counting_median(fn, reps):
+            before = len(draws)
+            wall = median(fn, reps)
+            timed.append(len(draws) - before)
+            return wall
+
+        monkeypatch.setattr(attention, "_median_wall_ms", counting_median)
+        scaling_sweep("fusion", [28, 56], reps=3)
+        assert timed == [0, 0]
+
     def test_csv_format(self):
         rep = scaling_sweep("fusion", [28, 56], reps=1)
         lines = rep.to_csv().strip().splitlines()

@@ -93,6 +93,13 @@ class TestTrainCli:
         assert err.startswith("error:") and "stage_channels" in err
         assert not (tmp_path / "r").exists()
 
+    def test_non_utf8_config_file_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "c.txt"
+        cfg.write_bytes(b"steps=1\nlr=\xff\n")
+        assert main(["train", "--out", str(tmp_path / "r"), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg} is not UTF-8")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--batch-size", "0"), ("--steps", "-3"), ("--log-every", "0"), ("--lr", "nan"),
         ("--hw", "16"),
@@ -147,26 +154,44 @@ class TestEvalCli:
     def test_eval_corrupt_checkpoint_config_fails_cleanly(self, tmp_path, capsys):
         assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
         data = bytearray((tmp_path / "run" / "ckpt_final.bin").read_bytes())
-        data[14] = 0xFF  # inside the config JSON, which starts at byte 12
+        data[14] = 0xFF  # inside the config text, which starts at byte 12
         bad = tmp_path / "bad.bin"
         bad.write_bytes(bytes(data))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("entry,message", [
-        ({"warp_speed": 9}, "unknown config key 'warp_speed'"),
-        ({"loss_variant": "seg+avm"}, "unknown loss variant 'seg+avm'"),
-        ({"lr": None}, "config key lr"),
-        *[({key: True}, f"unknown config key '{key}'") for key in REMOVED_KEYS],
-    ], ids=["unknown-key", "removed-loss-variant", "null-value", *REMOVED_KEYS])
+    def test_eval_non_utf8_entry_name_fails_cleanly(self, tmp_path, capsys):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        data = bytearray((tmp_path / "run" / "ckpt_final.bin").read_bytes())
+        (cfg_len,) = struct.unpack("<I", data[8:12])
+        # the first name follows the config, the 36-byte header and its u32 length
+        data[12 + cfg_len + 36 + 4] = 0xFF
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: entry name is not UTF-8")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("line,message", [
+        ("warp_speed=9", "unknown config key 'warp_speed'"),
+        ("loss_variant=seg+avm", "unknown loss variant 'seg+avm'"),
+        ("lr=", "config key lr: bad float ''"),
+        ("hw=[64]", "config key hw: bad int '[64]'"),
+        ("lr=[1]", "config key lr: bad float '[1]'"),
+        ("stage_channels=5", "stage_channels"),
+        *[(f"{key}=1", f"unknown config key '{key}'") for key in REMOVED_KEYS],
+    ], ids=["unknown-key", "removed-loss-variant", "empty-value", "hw-list", "lr-list",
+            "stage-channels-int", *REMOVED_KEYS])
     def test_eval_checkpoint_with_bad_config_fails_cleanly(self, tmp_path, capsys,
-                                                          entry, message):
+                                                          line, message):
         assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
         data = (tmp_path / "run" / "ckpt_final.bin").read_bytes()
         (cfg_len,) = struct.unpack("<I", data[8:12])
-        cfg = json.loads(data[12:12 + cfg_len])
-        blob = json.dumps({**cfg, **entry}, sort_keys=True).encode()
+        # a later line overrides the saved value of its key
+        blob = data[12:12 + cfg_len] + line.encode() + b"\n"
         bad = tmp_path / "bad.bin"
         bad.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
                         + data[12 + cfg_len:])
@@ -214,6 +239,21 @@ class TestEvalCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "scene_00001" in captured.err
         assert "16x16" in captured.err and captured.out == ""
+
+    def test_eval_bad_out_fails_before_any_forward(self, tmp_path, monkeypatch, capsys):
+        from lightavseg.model import SegModel
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        (tmp_path / "dir").mkdir()
+        calls = []
+        forward = SegModel.forward
+        monkeypatch.setattr(SegModel, "forward",
+                            lambda self, *a, **k: calls.append(1) or forward(self, *a, **k))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
+                     "--out", str(tmp_path / "dir")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert calls == []
 
     def test_eval_dump_alignment_writes_per_scene_maps(self, tmp_path):
         assert main(toy_train_args(tmp_path / "run")) == 0
@@ -343,6 +383,20 @@ class TestOtherCommands:
         assert main(["train", "--out", str(tmp_path / "run"), "--steps", "1",
                      "--scenes", "2", "--hw", "32", "--data",
                      str(tmp_path / "d")]) == 0
+
+    def test_train_on_clips_of_two_frame_sizes_fails_before_run_dir(self, tmp_path,
+                                                                   capsys):
+        for name, hw in (("d", "32"), ("e", "40")):
+            assert main(["synth-data", "--out", str(tmp_path / name), "--scenes", "1",
+                         "--hw", hw]) == 0
+        (tmp_path / "e" / "scene_00000").rename(tmp_path / "d" / "scene_00001")
+        capsys.readouterr()
+        assert main(["train", "--out", str(tmp_path / "run"), "--steps", "1",
+                     "--batch-size", "2", "--data", str(tmp_path / "d")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: clip scene_00001 has 40x40")
+        assert "scene_00000 has 32x32" in captured.err and captured.out == ""
+        assert not (tmp_path / "run").exists()
 
     def test_inspect_dumps(self, tmp_path):
         assert main(toy_train_args(tmp_path / "run")) == 0
