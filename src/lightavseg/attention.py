@@ -171,6 +171,8 @@ def scaling_sweep(module: str, grid_sizes, reps: int = 5) -> FlopReport:
     no-grad forward of the module alone on those inputs.
     """
     grid_sizes = list(grid_sizes)
+    if len(grid_sizes) < 2:
+        raise ContractError(f"a slope needs at least two grid sizes, got {grid_sizes}")
     if any(b <= a for a, b in zip(grid_sizes, grid_sizes[1:])):
         raise ContractError(f"grid sizes must be strictly increasing: {grid_sizes}")
     if module == "fusion":

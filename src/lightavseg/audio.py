@@ -72,7 +72,11 @@ def rfft_power(frames: np.ndarray, n_fft: int = N_FFT) -> np.ndarray:
     if frames.shape[-1] > n_fft:
         raise ContractError(f"frame length {frames.shape[-1]} exceeds FFT size {n_fft}")
     spec = np.fft.rfft(frames, n=n_fft)
-    return spec.real ** 2 + spec.imag ** 2
+    # square the real and imaginary parts in place, so the only new array is
+    # the result: fewer large temporaries for the allocator to return and re-fault
+    parts = spec.view(np.float64)
+    np.square(parts, out=parts)
+    return parts[..., 0::2] + parts[..., 1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +157,10 @@ def log_mel(w: Waveform) -> Spectrogram:
         samples = np.concatenate([samples, np.zeros(needed - samples.size)])
 
     segments = samples.reshape(n_windows, SAMPLE_RATE)
-    # 96 frames of 400 samples at hop 160 cover the first 0.96 s of each second
-    offsets = np.arange(FRAMES_PER_WINDOW) * HOP_SAMPLES
-    idx = offsets[:, None] + np.arange(WIN_SAMPLES)[None, :]
-    frames = segments[:, idx] * _HANN            # (T, 96, 400)
+    # 96 frames of 400 samples at hop 160 cover the first 0.96 s of each second;
+    # they are a strided view of the segments, copied once by the Hann product
+    windows = np.lib.stride_tricks.sliding_window_view(segments, WIN_SAMPLES, axis=1)
+    frames = windows[:, :FRAMES_PER_WINDOW * HOP_SAMPLES:HOP_SAMPLES] * _HANN  # (T, 96, 400)
     power = rfft_power(frames)                   # (T, 96, 257)
     mel = power @ _MEL_FB.T                      # (T, 96, 64)
     return Spectrogram(Tensor(np.log(mel + LOG_FLOOR)), padded=padded)

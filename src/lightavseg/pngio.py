@@ -1,8 +1,9 @@
 """Minimal PNG reader/writer: 8-bit grayscale and RGB, no interlace.
 
 The writer emits filter-0 scanlines (lossless, deterministic). The reader
-handles all five standard scanline filters so externally produced files load
-too. Palette, 16-bit, and interlaced images are rejected.
+copies every filter-0 row in one pass and decodes the other four standard
+scanline filters row by row, so externally produced files load too.
+Palette, 16-bit, and interlaced images are rejected.
 """
 
 from __future__ import annotations
@@ -54,17 +55,19 @@ def _paeth(a: int, b: int, c: int) -> int:
 
 def _unfilter(raw: bytes, h: int, w: int, channels: int) -> np.ndarray:
     stride = w * channels
-    out = np.zeros((h, stride), dtype=np.uint8)
-    pos = 0
+    lines = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + stride)
+    out = lines[:, 1:].copy()  # every filter-0 row, already decoded
+    ftypes = lines[:, 0]
+    if not ftypes.any():
+        return out
     prev = np.zeros(stride, dtype=np.int64)
     for y in range(h):
-        ftype = raw[pos]
-        pos += 1
-        line = np.frombuffer(raw[pos:pos + stride], dtype=np.uint8).astype(np.int64)
-        pos += stride
+        ftype = int(ftypes[y])
+        line = out[y].astype(np.int64)
         if ftype == 0:
-            cur = line
-        elif ftype == 1:  # sub
+            prev = line
+            continue
+        if ftype == 1:  # sub
             cur = line.copy()
             for x in range(channels, stride):
                 cur[x] = (cur[x] + cur[x - channels]) & 0xFF

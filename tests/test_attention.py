@@ -121,6 +121,11 @@ class TestScalingSweep:
         with pytest.raises(ContractError):
             scaling_sweep("fusion", [56, 28], reps=1)
 
+    @pytest.mark.parametrize("grids", [[], [14]])
+    def test_a_slope_needs_two_grids(self, grids):
+        with pytest.raises(ContractError, match="at least two grid sizes"):
+            scaling_sweep("xattn", grids, reps=1)
+
     def test_unknown_module_rejected(self):
         with pytest.raises(ContractError):
             scaling_sweep("conv", [14, 28], reps=1)

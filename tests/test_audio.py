@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from lightavseg import audio
 from lightavseg.audio import (
-    FRAMES_PER_WINDOW, LOG_FLOOR, N_MELS, SAMPLE_RATE, ContractError,
-    Spectrogram, Waveform, log_mel, mel_filter_centers, mel_filterbank,
+    FRAMES_PER_WINDOW, HOP_SAMPLES, LOG_FLOOR, N_FFT, N_MELS, SAMPLE_RATE, WIN_SAMPLES,
+    ContractError, Spectrogram, Waveform, log_mel, mel_filter_centers, mel_filterbank,
     read_wav, resample_to_16k, synth_tone, write_wav,
 )
 from lightavseg.tensor import RngState
@@ -152,6 +152,22 @@ class TestLogMel:
     def test_requires_16k(self):
         with pytest.raises(ContractError):
             log_mel(Waveform(np.zeros(8000), 8000))
+
+    @pytest.mark.parametrize("n", [SAMPLE_RATE, 3 * SAMPLE_RATE, SAMPLE_RATE + 100, 5],
+                             ids=["1-window", "3-windows", "padded-tail", "5-samples"])
+    def test_bit_identical_to_index_gather(self, n):
+        samples = RngState(9).uniform((n,), -1, 1)
+        spec = log_mel(Waveform(samples, SAMPLE_RATE))
+        t = -(-n // SAMPLE_RATE)
+        segments = np.concatenate([samples, np.zeros(t * SAMPLE_RATE - n)]).reshape(
+            t, SAMPLE_RATE)
+        idx = (np.arange(FRAMES_PER_WINDOW) * HOP_SAMPLES)[:, None] + np.arange(WIN_SAMPLES)
+        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WIN_SAMPLES) / WIN_SAMPLES)
+        spectrum = np.fft.rfft(segments[:, idx] * hann, n=N_FFT)
+        power = spectrum.real ** 2 + spectrum.imag ** 2
+        expect = np.log(power @ mel_filterbank().T + LOG_FLOOR)
+        assert spec.windows.shape == (t, FRAMES_PER_WINDOW, N_MELS)
+        assert spec.windows.data.tobytes() == expect.tobytes()
 
 
 class TestSynthTone:

@@ -327,6 +327,21 @@ class TestBenchCli:
         assert report["unattributed_ms"] >= 0
         assert report["total_wall_ms"] >= max(c["wall_ms"] for c in report["components"])
 
+    @pytest.mark.parametrize("module,grids", [("xattn", "14"), ("fusion", "28")])
+    def test_one_sweep_grid_is_an_error_line(self, tmp_path, capsys, module, grids):
+        assert main(["bench", "--module", module, "--grids", grids,
+                     "--out", str(tmp_path / "b")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "two grid sizes" in captured.err
+        assert "slope" not in captured.out
+        assert not (tmp_path / "b" / "bench.json").exists()
+
+    def test_model_bench_takes_one_grid(self, tmp_path):
+        assert main(["bench", "--module", "model", "--grids", "14",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bench.json").read_text())
+        assert report["hw"] == 14
+
     @pytest.mark.parametrize("module,grids", [
         ("model", "abc"), ("fusion", "28,x"), ("model", "-4"), ("model", "0"),
     ])

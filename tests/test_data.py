@@ -32,6 +32,45 @@ def save_clips(spec, root, frames):
                          meta=s.meta), root / f"scene_{i:05d}")
 
 
+def encode_filtered_png(img, filters) -> bytes:
+    """Reference PNG encoder: row ``y`` uses filter ``filters[y % len(filters)]``.
+
+    Each filter is written out from the PNG specification, byte by byte: sub
+    (1), up (2), average (3) and Paeth (4) predict from the left byte ``a``,
+    the byte above ``b`` and the byte above-left ``c``; filter 0 and any other
+    value store the row as is.
+    """
+    h, w = img.shape[:2]
+    channels = 1 if img.ndim == 2 else 3
+    rows = img.reshape(h, w * channels).astype(int).tolist()
+    prev = [0] * (w * channels)
+    raw = bytearray()
+    for y, row in enumerate(rows):
+        ftype = filters[y % len(filters)]
+        raw.append(ftype)
+        for x, v in enumerate(row):
+            a = row[x - channels] if x >= channels else 0
+            b = prev[x]
+            c = prev[x - channels] if x >= channels else 0
+            if ftype == 1:
+                pred = a
+            elif ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (a + b) // 2
+            elif ftype == 4:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+            else:
+                pred = 0
+            raw.append((v - pred) & 0xFF)
+        prev = row
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0 if channels == 1 else 2, 0, 0, 0)
+    return (_SIGNATURE + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", zlib.compress(bytes(raw)))
+            + _chunk(b"IEND", b""))
+
+
 class TestPng:
     def test_gray_round_trip(self, tmp_path):
         img = RngState(1)._next().integers(0, 256, size=(13, 17)).astype(np.uint8)
@@ -74,6 +113,24 @@ class TestPng:
             cut.write_bytes(full[:n])
             with pytest.raises(ContractError):
                 read_png(cut)
+
+    @pytest.mark.parametrize("filters", [[1], [2], [3], [4], [0, 1, 2, 3, 4, 2, 4]],
+                             ids=["sub", "up", "average", "paeth", "mixed"])
+    @pytest.mark.parametrize("shape", [(7, 5, 3), (6, 9)], ids=["rgb", "gray"])
+    def test_every_filter_type_decodes(self, tmp_path, shape, filters):
+        img = RngState(4)._next().integers(0, 256, size=shape).astype(np.uint8)
+        p = tmp_path / "f.png"
+        p.write_bytes(encode_filtered_png(img, filters))
+        back = read_png(p)
+        assert back.dtype == np.uint8 and back.shape == img.shape
+        np.testing.assert_array_equal(back, img)
+
+    def test_unknown_filter_type_rejected(self, tmp_path):
+        img = np.arange(18, dtype=np.uint8).reshape(3, 2, 3)
+        p = tmp_path / "f.png"
+        p.write_bytes(encode_filtered_png(img, [0, 5, 0]))
+        with pytest.raises(ContractError, match="filter type 5"):
+            read_png(p)
 
     IHDR_3X2_GRAY = _chunk(b"IHDR", struct.pack(">IIBBBBB", 3, 2, 8, 0, 0, 0, 0))
 

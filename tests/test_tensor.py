@@ -1,5 +1,6 @@
 """Tensor core: op semantics, gradients vs central differences, FLOP counters."""
 
+import contextlib
 import time
 import weakref
 
@@ -82,6 +83,16 @@ class TestGlobalMaxPool:
         x = parameter(np.array([[3.0, 1.0], [3.0, 0.0]]).reshape(1, 1, 2, 2))
         backward(T.tsum(T.global_max_pool(x)))
         np.testing.assert_array_equal(x.grad.ravel(), [1.0, 0.0, 0.0, 0.0])
+
+    def test_gradient_scatter_per_map_matches_put_along_axis(self):
+        rng = RngState(8)
+        x = parameter(np.round(rng.uniform((2, 3, 4, 5), 0, 4)))  # rounding makes ties
+        w = Tensor(rng.uniform((2, 3, 1, 1), -1, 1))
+        backward(T.tsum(T.mul(T.global_max_pool(x), w)))
+        first = x.data.reshape(2, 3, 20).argmax(axis=2)
+        expect = np.zeros((2, 3, 20))
+        np.put_along_axis(expect, first[:, :, None], w.data.reshape(2, 3, 1), axis=2)
+        np.testing.assert_array_equal(x.grad, expect.reshape(2, 3, 4, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +255,26 @@ class TestBackward:
         with pytest.raises(NumericalError) as e:
             T.tlog(Tensor([0.0]))
         assert "log" in str(e.value)
+
+
+class TestFiniteCheck:
+    def test_values_whose_squares_overflow_are_accepted(self):
+        big = np.full((4, 8), 1e300)
+        big[::2] *= -1.0                 # the sum of squares overflows to inf
+        assert np.array_equal(Tensor(big).data, big)
+        assert np.array_equal(T.mul(Tensor(big), Tensor(np.ones((4, 8)))).data, big)
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                     [1e300, np.nan, 1.0]],
+                             ids=["nan", "inf", "-inf", "inf,-inf", "huge,nan"])
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    def test_non_finite_result_names_its_op(self, bad, grad):
+        parent = parameter(np.zeros(len(bad)))
+        with (contextlib.nullcontext() if grad else no_grad()):
+            with pytest.raises(NumericalError, match="op 'probe'"):
+                T._result(np.array(bad), "probe", (parent,), None)
+        with pytest.raises(NumericalError, match="op 'leaf'"):
+            Tensor(np.array(bad))
 
 
 class TestGraphConsumption:
@@ -607,6 +638,18 @@ class TestFlopCounter:
         assert c.report() == {"a": {"madds": 100, "elems": 10},
                               "b": {"madds": 100, "elems": 0},
                               "total": {"madds": 100, "elems": 1010}}
+
+    def test_scope_closes_and_keeps_its_time_when_the_body_raises(self):
+        c = T.FlopCounter()
+        with pytest.raises(NumericalError):
+            with c.scope("a") as counter:
+                assert counter is c
+                time.sleep(0.002)
+                raise NumericalError("body failed")
+        assert c.seconds("a") >= 0.002
+        with c.scope("a"):              # closed again, so it can reopen
+            c.add(elems=3)
+        assert c.elems("a") == 3 and c.elems() == 3
 
     def test_section_wall_time_lands_in_seconds_and_reset_clears_it(self):
         FLOPS.reset()
