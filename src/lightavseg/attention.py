@@ -106,12 +106,6 @@ class FlopReport:
     channels: int
     extra: dict = field(default_factory=dict)
 
-    def to_csv(self) -> str:
-        lines = ["module,N,flops,wall_ms"]
-        for pt in self.points:
-            lines.append(f"{pt.module},{pt.n},{pt.flops},{pt.wall_ms:.4f}")
-        return "\n".join(lines) + "\n"
-
     def to_json_dict(self) -> dict:
         return {
             "module": self.module,
@@ -121,6 +115,12 @@ class FlopReport:
                         "madds": pt.madds, "elems": pt.elems} for pt in self.points],
             **self.extra,
         }
+
+
+def bench_csv(points) -> str:
+    """``bench.csv``: a header, then one ``module,N,flops,wall_ms`` line per FlopPoint."""
+    return "module,N,flops,wall_ms\n" + "".join(
+        f"{pt.module},{pt.n},{pt.flops},{pt.wall_ms:.4f}\n" for pt in points)
 
 
 def fit_loglog_slope(ns, counts) -> float:
@@ -141,15 +141,7 @@ def _median_wall_ms(fn, reps: int = 5) -> float:
 
 def fusion_stage_params(c: int, rng: RngState):
     """Unregistered channel maps of one encoder stage and one decoder stage."""
-    enc_p = EncoderStageParams(audio_map=Linear1x1("enc.audio", c, c, rng, {}),
-                               gate_map=Linear1x1("enc.gate", c, c, rng, {}))
-    dec_p = DecoderStageParams(
-        proj_prev=Linear1x1("dec.proj_prev", c, c, rng, {}),
-        proj_enc=Linear1x1("dec.proj_enc", c, c, rng, {}),
-        fuse_map=Linear1x1("dec.fuse", 2 * c, c, rng, {}),
-        gate_map=Linear1x1("dec.gate", c, c, rng, {}),
-        inject_map=Linear1x1("dec.inject", c, c, rng, {}))
-    return enc_p, dec_p
+    return EncoderStageParams("enc.{}", c, rng, {}), DecoderStageParams("dec.{}", c, c, rng, {})
 
 
 def fusion_step(v: Tensor, a: AudioState, enc_p: EncoderStageParams,

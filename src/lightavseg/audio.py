@@ -44,27 +44,18 @@ class Waveform:
         if self.samples.size and np.abs(self.samples).max() > 1.0 + 1e-6:
             raise ContractError("waveform samples exceed [-1, 1]")
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 @dataclass
 class Spectrogram:
     """Per-clip log-mel features: T one-second windows of 96 frames x 64 bins."""
 
     windows: Tensor            # (T, 96, 64)
-    padded: bool = False       # true when the tail needed zero padding
 
     def __post_init__(self):
         if self.windows.ndim != 3 or self.windows.shape[1:] != (FRAMES_PER_WINDOW, N_MELS):
             raise DimensionError(
                 f"spectrogram must be (T, {FRAMES_PER_WINDOW}, {N_MELS}), "
                 f"got {self.windows.shape}")
-
-    @property
-    def num_windows(self) -> int:
-        return self.windows.shape[0]
 
 
 def rfft_power(frames: np.ndarray, n_fft: int = N_FFT) -> np.ndarray:
@@ -91,9 +82,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_edges_hz() -> np.ndarray:
+    """The N_MELS + 2 filter edges (Hz), equally spaced in mel over MEL_FMIN..MEL_FMAX."""
+    return mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
+
+
 def mel_filterbank() -> np.ndarray:
     """Triangular filters (N_MELS, N_FFT//2+1), mel-spaced from MEL_FMIN to MEL_FMAX."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
+    edges_hz = _mel_edges_hz()
     bin_hz = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
     fb = np.zeros((N_MELS, N_FFT // 2 + 1))
     for k in range(N_MELS):
@@ -106,8 +102,7 @@ def mel_filterbank() -> np.ndarray:
 
 def mel_filter_centers() -> np.ndarray:
     """Center frequency (Hz) of each triangular filter."""
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
-    return edges_hz[1:-1]
+    return _mel_edges_hz()[1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +138,7 @@ def log_mel(w: Waveform) -> Spectrogram:
     """Log-mel features, one 96x64 window per second of 16 kHz audio.
 
     Audio shorter than a whole number of seconds is zero-padded to the next
-    second boundary and the spectrogram is flagged as padded.
+    second boundary.
     """
     if w.sample_rate_hz != SAMPLE_RATE:
         raise ContractError(
@@ -151,9 +146,8 @@ def log_mel(w: Waveform) -> Spectrogram:
             "(resample first)")
     n_windows = num_windows(w)
     needed = n_windows * SAMPLE_RATE
-    padded = needed > w.samples.size
     samples = w.samples
-    if padded:
+    if needed > samples.size:
         samples = np.concatenate([samples, np.zeros(needed - samples.size)])
 
     segments = samples.reshape(n_windows, SAMPLE_RATE)
@@ -163,7 +157,7 @@ def log_mel(w: Waveform) -> Spectrogram:
     frames = windows[:, :FRAMES_PER_WINDOW * HOP_SAMPLES:HOP_SAMPLES] * _HANN  # (T, 96, 400)
     power = rfft_power(frames)                   # (T, 96, 257)
     mel = power @ _MEL_FB.T                      # (T, 96, 64)
-    return Spectrogram(Tensor(np.log(mel + LOG_FLOOR)), padded=padded)
+    return Spectrogram(Tensor(np.log(mel + LOG_FLOOR)))
 
 
 def synth_tone(freq_hz: float, duration_s: float, amplitude: float) -> Waveform:

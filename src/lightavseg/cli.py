@@ -174,7 +174,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .attention import component_report, scaling_sweep
+    from .attention import FlopPoint, bench_csv, component_report, scaling_sweep
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,18 +183,16 @@ def _cmd_bench(args) -> int:
         hw = args.grids[0] if args.grids else 224
         model = SegModel(ModelConfig(), RngState(0))
         report = component_report(model, hw=hw)
-        csv_lines = ["module,N,flops,wall_ms"]
-        for comp in report["components"]:
-            csv_lines.append(f"model.{comp['name']},{hw * hw},"
-                             f"{comp['madds'] + comp['elems']},{comp['wall_ms']:.4f}")
-        csv_text = "\n".join(csv_lines) + "\n"
+        points = [FlopPoint(f"model.{c['name']}", hw * hw, c["madds"] + c["elems"],
+                            c["wall_ms"]) for c in report["components"]]
         json_text = json.dumps(report, sort_keys=True, indent=1)
     else:
         grids = args.grids or ([28, 56, 112, 224] if args.module == "fusion" else [14, 28, 56])
         report = scaling_sweep(args.module, grids)
-        csv_text = report.to_csv()
+        points = report.points
         json_text = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
         print(f"{args.module}: fitted log-log slope vs N = {report.slope:.4f}")
+    csv_text = bench_csv(points)
     if out_dir:
         (out_dir / "bench.csv").write_text(csv_text)
         (out_dir / "bench.json").write_text(json_text)

@@ -84,7 +84,7 @@ def _shape_footprint(kind: int, cy: int, cx: int, half: int, hw: int) -> np.ndar
 
 @functools.lru_cache(maxsize=1)
 def _pair_layout(seed: int, hw: int, pair: int):
-    """Read-only frame and footprints of a scene pair, its kind, centers, extent.
+    """Read-only frame of a scene pair and the footprints of its two shapes.
 
     The one-entry cache renders a pair once when scenes come in index order.
     """
@@ -99,21 +99,20 @@ def _pair_layout(seed: int, hw: int, pair: int):
     split_on_y = int(rng.integers(0, 2)) == 0
     lo_hi = hw // 2 - half - 1
     hi_lo = hw // 2 + half + 1
-    footprints, centers = [], []
+    footprints = []
     for side in (0, 1):
         split = int(rng.integers(margin, lo_hi)) if side == 0 else \
             int(rng.integers(hi_lo, hw - margin))
         free = int(rng.integers(margin, hw - margin))
         cy, cx = (split, free) if split_on_y else (free, split)
         footprints.append(_shape_footprint(kind, cy, cx, half, hw))
-        centers.append((cy, cx))
 
     for fp in footprints:
         image[:, fp] = color[:, None]
     frame = np.clip(image[None], 0.0, 1.0)
     for arr in (frame, *footprints):
         arr.flags.writeable = False
-    return frame, footprints, kind, centers, half
+    return frame, footprints
 
 
 def generate_scene(spec: DatasetSpec, index: int) -> Scene:
@@ -121,15 +120,13 @@ def generate_scene(spec: DatasetSpec, index: int) -> Scene:
     if not 0 <= index < spec.n_scenes:
         raise ContractError(f"scene index {index} is outside [0, {spec.n_scenes})")
     pair, sounding = divmod(index, 2)
-    frame, footprints, kind, centers, half = _pair_layout(spec.seed, spec.hw, pair)
+    frame, footprints = _pair_layout(spec.seed, spec.hw, pair)
     freq = TONE_HZ[sounding]
     return Scene(
         frames=Tensor(frame.copy()),  # each scene owns a writable frame
         waveform=synth_tone(freq, 1.0, TONE_AMPLITUDE),
         masks=Tensor(footprints[sounding].astype(np.float64)[None, None]),
-        meta={"index": index, "pair": pair, "sounding_shape": sounding,
-              "tone_hz": freq, "kind": "square" if kind == 0 else "circle",
-              "centers": list(centers), "half_extent": half},
+        meta={"index": index, "tone_hz": freq},
     )
 
 

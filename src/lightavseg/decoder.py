@@ -28,13 +28,24 @@ from .tensor import (
 INTERACT_STAGES = 3  # deepest stages with audio recurrence and alignment supervision
 
 
-@dataclass
 class DecoderStageParams:
-    proj_prev: Linear1x1   # previous decoder audio state -> shared width
-    proj_enc: Linear1x1    # encoder audio state -> shared width
-    fuse_map: Linear1x1    # concatenated states -> fused state
-    gate_map: Linear1x1    # pooled visual -> gate pre-activation
-    inject_map: Linear1x1  # fused state -> visual channel bias
+    """Channel maps of one decoder stage of width ``c``.
+
+    ``name`` is a template whose ``{}`` takes each map's role; the maps are
+    drawn from ``rng`` in the order below.
+    """
+
+    def __init__(self, name: str, c_prev: int, c: int, rng: RngState, params: dict):
+        # previous decoder audio state, of width c_prev -> shared width
+        self.proj_prev = Linear1x1(name.format("proj_prev"), c_prev, c, rng, params)
+        # encoder audio state -> shared width
+        self.proj_enc = Linear1x1(name.format("proj_enc"), c, c, rng, params)
+        # concatenated states -> fused state
+        self.fuse_map = Linear1x1(name.format("fuse"), 2 * c, c, rng, params)
+        # pooled visual -> gate pre-activation
+        self.gate_map = Linear1x1(name.format("gate"), c, c, rng, params)
+        # fused state -> visual channel bias
+        self.inject_map = Linear1x1(name.format("inject"), c, c, rng, params)
 
 
 @dataclass
@@ -75,14 +86,9 @@ class FusionDecoder:
         self.stage_params = {}
         prev_width = self.channels[-1]  # recurrence starts at the deepest state
         for i in range(n - 1, n - 1 - INTERACT_STAGES, -1):
-            c = self.channels[i]
             self.stage_params[i] = DecoderStageParams(
-                proj_prev=Linear1x1(f"decoder.s{i + 1}.proj_prev", prev_width, c, rng, params),
-                proj_enc=Linear1x1(f"decoder.s{i + 1}.proj_enc", c, c, rng, params),
-                fuse_map=Linear1x1(f"decoder.s{i + 1}.fuse", 2 * c, c, rng, params),
-                gate_map=Linear1x1(f"decoder.s{i + 1}.gate", c, c, rng, params),
-                inject_map=Linear1x1(f"decoder.s{i + 1}.inject", c, c, rng, params))
-            prev_width = c
+                f"decoder.s{i + 1}.{{}}", prev_width, self.channels[i], rng, params)
+            prev_width = self.channels[i]
 
         # channel-aligning maps for the top-down merges (deep -> shallow)
         self.align = {}

@@ -27,12 +27,16 @@ from .tensor import (
 )
 
 
-@dataclass
 class EncoderStageParams:
-    """Channel maps of one refinement step; both output the stage width."""
+    """Channel maps of one refinement step; both map the stage width to itself.
 
-    audio_map: Linear1x1
-    gate_map: Linear1x1
+    ``name`` is a template whose ``{}`` takes each map's role (``audio``,
+    ``gate``); the maps are drawn from ``rng`` in that order.
+    """
+
+    def __init__(self, name: str, c: int, rng: RngState, params: dict):
+        self.audio_map = Linear1x1(name.format("audio"), c, c, rng, params)
+        self.gate_map = Linear1x1(name.format("gate"), c, c, rng, params)
 
 
 @dataclass
@@ -71,9 +75,7 @@ class ReciprocalEncoder:
         c_prev = audio_channels
         for i, c in enumerate(stage_channels):
             self.projections.append(Linear1x1(f"encoder.proj{i + 1}", c_prev, c, rng, params))
-            self.stage_params.append(EncoderStageParams(
-                audio_map=Linear1x1(f"encoder.audio{i + 1}", c, c, rng, params),
-                gate_map=Linear1x1(f"encoder.gate{i + 1}", c, c, rng, params)))
+            self.stage_params.append(EncoderStageParams(f"encoder.{{}}{i + 1}", c, rng, params))
             c_prev = c
 
     def forward(self, frames: Tensor, a0: AudioState) -> EncoderOutput:

@@ -9,7 +9,7 @@ continuous draws).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,15 +21,7 @@ from .backbones import AudioState
 from .encoder import agve_step, har_step
 from .losses import total_loss
 from .model import ModelConfig, SegModel
-from .tensor import RngState, Tensor, grad_check, grad_check_params
-
-
-@dataclass
-class CheckResult:
-    name: str
-    max_rel_err: float
-    n_checked: int
-    passed: bool
+from .tensor import GradCheckReport, RngState, Tensor, grad_check, grad_check_params
 
 
 def _sq(y):
@@ -41,27 +33,24 @@ def tiny_model(seed: int = 0) -> SegModel:
     return SegModel(cfg, RngState(seed))
 
 
-def _model_loss_fn(model: SegModel, frames: Tensor, mel: Tensor, y: Tensor,
-                   frames_override: Tensor | None = None):
-    f = frames_override if frames_override is not None else frames
-    seg, _ = model.forward(f, mel)
+def _model_loss_fn(model: SegModel, frames: Tensor, mel: Tensor, y: Tensor):
+    seg, _ = model.forward(frames, mel)
     rep = total_loss(seg.logits, seg.per_stage_features, seg.audio_states, y,
                      lam=0.5, tau=0.1)
     return rep.loss
 
 
 def _checker():
-    """A result list and ``run(name, fn, x)``, which appends one ``grad_check``."""
+    """A report list and ``run(name, fn, x)``, which appends one named ``grad_check``."""
     results = []
 
     def run(name, fn, x):
-        rep = grad_check(fn, x)
-        results.append(CheckResult(name, rep.max_rel_err, rep.n_checked, rep.passed))
+        results.append(replace(grad_check(fn, x), name=name))
 
     return results, run
 
 
-def op_checks() -> list[CheckResult]:
+def op_checks() -> list[GradCheckReport]:
     rng = RngState(42)
     results, run = _checker()
 
@@ -94,7 +83,7 @@ def op_checks() -> list[CheckResult]:
     return results
 
 
-def module_checks() -> list[CheckResult]:
+def module_checks() -> list[GradCheckReport]:
     rng = RngState(7)
     results, run = _checker()
     c = 4
@@ -116,7 +105,7 @@ def module_checks() -> list[CheckResult]:
 
 
 def end_to_end_check(input_coords: int | None = None,
-                     param_coords: int = 3) -> list[CheckResult]:
+                     param_coords: int = 3) -> list[GradCheckReport]:
     """Full encoder+decoder+loss gradients on a 1x3x32x32 input.
 
     Checks d loss / d frames on ``input_coords`` coordinates (all 3072 when
@@ -139,23 +128,22 @@ def end_to_end_check(input_coords: int | None = None,
     mel = Tensor(rng.uniform((1, 96, 64), -20.0, 0.0))
     y = Tensor((rng.uniform((1, 1, 32, 32), 0, 1) > 0.7).astype(np.float64))
 
-    results = []
-    rep = grad_check(lambda t: _model_loss_fn(model, frames, mel, y, t),
-                     frames, max_coords=input_coords, rng=RngState(5))
-    results.append(CheckResult("end_to_end(d/d input)", rep.max_rel_err,
-                               rep.n_checked, rep.passed))
-
-    reports = grad_check_params(
+    results = [replace(grad_check(lambda t: _model_loss_fn(model, t, mel, y), frames,
+                                  max_coords=input_coords, rng=RngState(5)),
+                       name="end_to_end(d/d input)")]
+    reports = list(grad_check_params(
         lambda: _model_loss_fn(model, frames, mel, y), model.params,
-        max_coords_per_param=param_coords, rng=RngState(6))
-    worst = max(reports.values(), key=lambda r: r.max_rel_err)
-    total = sum(r.n_checked for r in reports.values())
-    results.append(CheckResult("end_to_end(d/d params)", worst.max_rel_err,
-                               total, all(r.passed for r in reports.values())))
+        max_coords_per_param=param_coords, rng=RngState(6)).values())
+    results.append(GradCheckReport(
+        max_rel_err=max(r.max_rel_err for r in reports),
+        tol=reports[0].tol,
+        n_checked=sum(r.n_checked for r in reports),
+        failures=[f for r in reports for f in r.failures],
+        name="end_to_end(d/d params)"))
     return results
 
 
-def full_suite(quick: bool = False) -> list[CheckResult]:
+def full_suite(quick: bool = False) -> list[GradCheckReport]:
     input_coords = 192 if quick else None
     results = op_checks() + module_checks()
     results += end_to_end_check(input_coords=input_coords,

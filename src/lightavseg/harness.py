@@ -27,7 +27,7 @@ import numpy as np
 
 from .audio import log_mel
 from .data import DatasetSpec, generate_dataset
-from .losses import alignment_maps, foreground_mask, fscore, miou, total_loss
+from .losses import alignment_maps, foreground_mask, mask_scores, total_loss
 from .model import ModelConfig, SegModel
 from .tensor import (
     ContractError, DimensionError, RngState, Tensor, _read_exact, _sigmoid_data,
@@ -36,6 +36,7 @@ from .tensor import (
 
 CKPT_MAGIC = b"AVSC"
 CKPT_VERSION = 2
+CKPT_HEADER = "<QQqQI"  # step, adam_t, rng seed, rng counter, entry count
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -75,6 +76,8 @@ class TrainConfig:
         for name, low in (("batch_size", 1), ("steps", 0), ("log_every", 1)):
             if not getattr(self, name) >= low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.seed < 2 ** 63:  # the checkpoint stores it as an i64
+            raise ContractError(f"seed must be < 2**63, got {self.seed}")
         if self.loss_variant not in ("seg", "seg+msa"):
             raise ContractError(f"unknown loss variant {self.loss_variant!r}")
         # ModelConfig and DatasetSpec range-check the model and dataset fields
@@ -232,11 +235,7 @@ def save_checkpoint(path, cfg: TrainConfig, params: dict, state: AdamWState,
         f.write(struct.pack("<I", CKPT_VERSION))
         f.write(struct.pack("<I", len(cfg_text)))
         f.write(cfg_text)
-        f.write(struct.pack("<Q", step))
-        f.write(struct.pack("<Q", state.t))
-        f.write(struct.pack("<q", rng.seed))
-        f.write(struct.pack("<Q", rng.counter))
-        f.write(struct.pack("<I", len(entries)))
+        f.write(struct.pack(CKPT_HEADER, step, state.t, rng.seed, rng.counter, len(entries)))
         for name, arr in entries:
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)) + nb)
@@ -256,7 +255,7 @@ def load_checkpoint(path) -> Checkpoint:
             config = config_from_text(text)
         except (ContractError, DimensionError) as e:
             raise ContractError(f"{path}: checkpoint config: {e}") from None
-        step, adam_t, seed, counter, n_entries = _unpack(f, "<QQqQI", "header")
+        step, adam_t, seed, counter, n_entries = _unpack(f, CKPT_HEADER, "header")
         params, adam_m, adam_v = {}, {}, {}
         for _ in range(n_entries):
             (nlen,) = _unpack(f, "<I", "entry name length")
@@ -407,13 +406,8 @@ def evaluate(model: SegModel, scenes: list, mute_audio: bool = False,
             seg, enc = model.forward(scene.frames, mel)
             if on_scene is not None:
                 on_scene(i, scene, seg, enc)
-        pred = predict_foreground(seg.logits.data)
-        gt = scene.masks.data > 0.5
-        per_scene.append({
-            "index": _scene_id(scene),
-            "miou": miou(pred, gt),
-            "fscore": fscore(pred, gt),
-        })
+        iou, f = mask_scores(predict_foreground(seg.logits.data), scene.masks.data > 0.5)
+        per_scene.append({"index": _scene_id(scene), "miou": iou, "fscore": f})
     return {
         "miou": float(np.mean([r["miou"] for r in per_scene])),
         "fscore": float(np.mean([r["fscore"] for r in per_scene])),

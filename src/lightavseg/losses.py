@@ -298,44 +298,25 @@ def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
 # Metrics (plain numpy, no gradients)
 # ---------------------------------------------------------------------------
 
-def _as_mask_batch(m) -> np.ndarray:
-    arr = m.data if isinstance(m, Tensor) else np.asarray(m)
-    arr = arr.astype(bool)
-    if arr.ndim == 2:
-        arr = arr[None]
-    return arr.reshape(arr.shape[0], -1) if arr.ndim == 3 else arr.reshape(
-        arr.shape[0] * arr.shape[1], -1)
+def mask_scores(pred_mask, gt_mask) -> tuple[float, float]:
+    """Mean per-frame IoU and region F-beta (beta^2 = 0.3) of two binary masks.
 
-
-def miou(pred_mask, gt_mask) -> float:
-    """Mean per-frame intersection-over-union; empty-union frames score 1."""
-    p, g = _as_mask_batch(pred_mask), _as_mask_batch(gt_mask)
+    Each trailing H x W plane is one frame. A frame where both masks are empty
+    scores 1 on both. Both means come from one pass that counts each frame's
+    true positives, predicted pixels and true pixels.
+    """
+    p, g = (np.asarray(m, dtype=bool) for m in (pred_mask, gt_mask))
+    p, g = (m.reshape(-1, m.shape[-2] * m.shape[-1]) for m in (p, g))
     if p.shape != g.shape:
         raise DimensionError(f"mask shapes differ: {p.shape} vs {g.shape}")
-    scores = []
-    for pf, gf in zip(p, g):
-        union = np.logical_or(pf, gf).sum()
-        if union == 0:
-            scores.append(1.0)
-        else:
-            scores.append(np.logical_and(pf, gf).sum() / union)
-    return float(np.mean(scores))
-
-
-def fscore(pred_mask, gt_mask) -> float:
-    """Mean per-frame region F-beta (beta^2 = 0.3 by convention)."""
-    p, g = _as_mask_batch(pred_mask), _as_mask_batch(gt_mask)
-    if p.shape != g.shape:
-        raise DimensionError(f"mask shapes differ: {p.shape} vs {g.shape}")
-    scores = []
-    for pf, gf in zip(p, g):
-        np_, ng = pf.sum(), gf.sum()
-        if np_ == 0 and ng == 0:
-            scores.append(1.0)
-            continue
-        tp = np.logical_and(pf, gf).sum()
-        prec = tp / np_ if np_ > 0 else 0.0
-        rec = tp / ng if ng > 0 else 0.0
-        denom = FSCORE_BETA_SQ * prec + rec
-        scores.append(0.0 if denom == 0 else (1 + FSCORE_BETA_SQ) * prec * rec / denom)
-    return float(np.mean(scores))
+    tp, n_pred, n_true = np.concatenate((p & g, p, g)).sum(axis=1).reshape(3, -1)
+    union = n_pred + n_true - tp
+    # where a count or denom is 0, tp is 0 too, so dividing by 1 gives the 0 wanted
+    prec = tp / np.maximum(n_pred, 1)
+    rec = tp / np.maximum(n_true, 1)
+    denom = FSCORE_BETA_SQ * prec + rec
+    scores = np.stack((tp / np.maximum(union, 1),
+                       (1 + FSCORE_BETA_SQ) * prec * rec / (denom + (denom == 0))))
+    scores[:, union == 0] = 1.0
+    iou, f = scores.mean(axis=1)
+    return float(iou), float(f)

@@ -67,10 +67,8 @@ def _unfilter(raw: bytes, h: int, w: int, channels: int) -> np.ndarray:
         if ftype == 0:
             prev = line
             continue
-        if ftype == 1:  # sub
-            cur = line.copy()
-            for x in range(channels, stride):
-                cur[x] = (cur[x] + cur[x - channels]) & 0xFF
+        if ftype == 1:  # sub: a running sum along each channel
+            cur = np.cumsum(line.reshape(-1, channels), axis=0).reshape(-1) & 0xFF
         elif ftype == 2:  # up
             cur = (line + prev) & 0xFF
         elif ftype == 3:  # average

@@ -872,6 +872,7 @@ class GradCheckReport:
     tol: float
     n_checked: int
     failures: list = field(default_factory=list)  # (flat_index, analytic, numeric, rel)
+    name: str = ""   # what was checked, as the gradient suite reports it
 
     @property
     def passed(self) -> bool:

@@ -24,7 +24,7 @@ from lightavseg.harness import (
     model_from_checkpoint, save_checkpoint, train,
 )
 from lightavseg.losses import (
-    bce_loss, fscore, miou, msa_loss, total_loss,
+    bce_loss, mask_scores, msa_loss, total_loss,
 )
 from lightavseg.model import SegModel
 from lightavseg.tensor import RngState, Tensor
@@ -174,18 +174,20 @@ class TestMetricOracles:
         for _ in range(100):
             p = rng.uniform((8, 8), 0, 1) > 0.5
             g = rng.uniform((8, 8), 0, 1) > 0.5
-            exact &= miou(p, g) == oracle_iou(p, g)
-            exact &= abs(fscore(p, g) - oracle_f(p, g)) < 1e-15
+            iou, f = mask_scores(p, g)
+            exact &= iou == oracle_iou(p, g)
+            exact &= abs(f - oracle_f(p, g)) < 1e-15
 
         g = np.zeros((1, 1, 4, 4), dtype=bool)
         g[0, 0, :2] = True
         p = np.zeros_like(g)
         p[0, 0, 0] = True
-        hand_ok = miou(p, g) == 0.5 and fscore(p, g) == 0.8125
+        iou, f = mask_scores(p, g)
+        hand_ok = iou == 0.5 and f == 0.8125
         ok = exact and hand_ok
         _report("metric-oracles", ok,
                 f"100 seeded pairs exact match: {exact}; half-cover case "
-                f"IoU {miou(p, g)} (0.5), F {fscore(p, g)} (0.8125)")
+                f"IoU {iou} (0.5), F {f} (0.8125)")
 
 
 class TestFrontend:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lightavseg.attention import (
-    attention_flops_closed_form, dense_attention, fit_loglog_slope,
+    attention_flops_closed_form, bench_csv, dense_attention, fit_loglog_slope,
     make_attention_params, scaling_sweep,
 )
 from lightavseg.backbones import AudioState
@@ -105,7 +105,7 @@ class TestScalingSweep:
 
     def test_csv_format(self):
         rep = scaling_sweep("fusion", [28, 56], reps=1)
-        lines = rep.to_csv().strip().splitlines()
+        lines = bench_csv(rep.points).strip().splitlines()
         assert lines[0] == "module,N,flops,wall_ms"
         assert len(lines) == 3
         first = lines[1].split(",")

@@ -102,12 +102,19 @@ class TestTrainCli:
 
     @pytest.mark.parametrize("flag,value", [
         ("--batch-size", "0"), ("--steps", "-3"), ("--log-every", "0"), ("--lr", "nan"),
-        ("--hw", "16"),
+        ("--hw", "16"), ("--seed", str(2 ** 63)),
     ])
     def test_out_of_range_flag_fails_cleanly(self, tmp_path, capsys, flag, value):
         assert main(toy_train_args(tmp_path / "r", (flag, value))) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "r").exists()
+
+    def test_largest_seed_round_trips_through_checkpoint(self, tmp_path):
+        # the checkpoint stores the seed as an i64; 2**63 is refused above
+        argv = ["train", "--out", str(tmp_path / "r"), "--steps", "0", "--scenes", "2",
+                "--hw", "32", "--seed", str(2 ** 63 - 1)]
+        assert main(argv) == 0
+        assert main(["eval", "--ckpt", str(tmp_path / "r" / "ckpt_final.bin")]) == 0
 
     def test_every_flag_sets_a_config_field(self):
         # _load_config reads only TrainConfig fields, so any other dest is ignored

@@ -212,7 +212,7 @@ class TestSceneGeneration:
         s = next(load_avsbench_layout(tmp_path))
         assert s.frames.shape[0] == 3
         assert s.waveform.samples.size == 3 * 16000
-        assert log_mel(s.waveform).num_windows == 3
+        assert log_mel(s.waveform).windows.shape[0] == 3
 
     def test_both_shapes_fit_at_min_hw(self):
         for seed in range(40):
@@ -300,4 +300,4 @@ class TestLayout:
     def test_window_count_matches_frames(self, tmp_path):
         save_clips(DatasetSpec(n_scenes=2, hw=32, seed=10), tmp_path, frames=2)
         for scene in load_avsbench_layout(tmp_path):
-            assert log_mel(scene.waveform).num_windows == scene.frames.shape[0]
+            assert log_mel(scene.waveform).windows.shape[0] == scene.frames.shape[0]

@@ -7,7 +7,6 @@ from lightavseg.backbones import AudioState
 from lightavseg.decoder import (
     DecoderStageParams, FusionDecoder, audio_state_update, visual_inject,
 )
-from lightavseg.layers import Linear1x1
 from lightavseg.model import ModelConfig, SegModel
 from lightavseg.tensor import FLOPS, RngState, Tensor, add, bilinear_upsample, grad_check
 from lightavseg.attention import fit_loglog_slope
@@ -15,13 +14,7 @@ from lightavseg.losses import total_loss
 
 
 def dec_params(c, seed=0):
-    rng = RngState(seed)
-    return DecoderStageParams(
-        proj_prev=Linear1x1("d.pp", c, c, rng, {}),
-        proj_enc=Linear1x1("d.pe", c, c, rng, {}),
-        fuse_map=Linear1x1("d.f", 2 * c, c, rng, {}),
-        gate_map=Linear1x1("d.g", c, c, rng, {}),
-        inject_map=Linear1x1("d.i", c, c, rng, {}))
+    return DecoderStageParams("d.{}", c, c, RngState(seed), {})
 
 
 class TestAudioStateUpdate:

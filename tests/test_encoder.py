@@ -7,7 +7,6 @@ from lightavseg.backbones import AudioState, VisualBackbone
 from lightavseg.encoder import (
     EncoderStageParams, ReciprocalEncoder, agve_step, har_step,
 )
-from lightavseg.layers import Linear1x1
 from lightavseg.model import ModelConfig
 from lightavseg.tensor import (
     FLOPS, ContractError, RngState, Tensor, grad_check, tsum, mul,
@@ -16,10 +15,7 @@ from lightavseg.attention import fit_loglog_slope
 
 
 def stage_params(c, seed=0):
-    rng = RngState(seed)
-    return EncoderStageParams(
-        audio_map=Linear1x1("t.audio", c, c, rng, {}),
-        gate_map=Linear1x1("t.gate", c, c, rng, {}))
+    return EncoderStageParams("t.{}", c, RngState(seed), {})
 
 
 class TestHarStep:

@@ -347,20 +347,19 @@ class TestTraining:
 class TestEvaluate:
     def test_perfect_prediction_from_gt(self):
         # metric path sanity: feed ground truth through the metric directly
-        from lightavseg.losses import miou
+        from lightavseg.losses import mask_scores
         cfg = toy_config()
         scenes = generate_dataset(cfg.dataset_spec())
         gt = scenes[0].masks.data > 0.5
-        assert miou(gt, gt) == 1.0
+        assert mask_scores(gt, gt)[0] == 1.0
 
     def test_empty_prediction_on_nonempty_gt_scores_zero(self):
-        from lightavseg.losses import miou, fscore
+        from lightavseg.losses import mask_scores
         cfg = toy_config()
         scenes = generate_dataset(cfg.dataset_spec())
         gt = scenes[0].masks.data > 0.5
         empty = np.zeros_like(gt)
-        assert miou(empty, gt) == 0.0
-        assert fscore(empty, gt) == 0.0
+        assert mask_scores(empty, gt) == (0.0, 0.0)
 
     def test_empty_scene_list_rejected(self):
         model = SegModel(toy_config().model_config(), RngState(0))

@@ -9,7 +9,7 @@ from lightavseg.backbones import AudioState
 from lightavseg import tensor as T
 from lightavseg.losses import (
     PROB_EPS, alignment_maps, bce_loss, cosine_scores, dice_loss, foreground_mask,
-    fscore, miou, msa_loss, total_loss,
+    mask_scores, msa_loss, total_loss,
 )
 from lightavseg.tensor import (
     FLOPS, ContractError, DimensionError, RngState, Tensor, backward, bilinear_upsample,
@@ -494,16 +494,14 @@ def oracle_fbeta(p, g, beta_sq=0.3):
 class TestMetrics:
     def test_identical_masks(self):
         m = (RngState(1).uniform((3, 1, 8, 8), 0, 1) > 0.5)
-        assert miou(m, m) == 1.0
-        assert fscore(m, m) == 1.0
+        assert mask_scores(m, m) == (1.0, 1.0)
 
     def test_disjoint_masks(self):
         a = np.zeros((1, 1, 4, 4), dtype=bool)
         b = np.zeros((1, 1, 4, 4), dtype=bool)
         a[0, 0, 0, 0] = True
         b[0, 0, 3, 3] = True
-        assert miou(a, b) == 0.0
-        assert fscore(a, b) == 0.0
+        assert mask_scores(a, b) == (0.0, 0.0)
 
     def test_half_cover_hand_case(self):
         # P covers exactly half of G and nothing else
@@ -511,23 +509,36 @@ class TestMetrics:
         g[0, 0, :2] = True          # 8 pixels
         p = np.zeros_like(g)
         p[0, 0, 0] = True           # 4 pixels, all inside G
-        assert miou(p, g) == pytest.approx(0.5)
-        assert fscore(p, g) == pytest.approx(0.8125)
+        assert mask_scores(p, g) == pytest.approx((0.5, 0.8125))
 
     def test_empty_union_counts_as_one(self):
         z = np.zeros((2, 1, 4, 4), dtype=bool)
-        assert miou(z, z) == 1.0
-        assert fscore(z, z) == 1.0
+        assert mask_scores(z, z) == (1.0, 1.0)
 
     def test_matches_pixel_count_oracle_on_100_seeded_pairs(self):
         rng = RngState(42)
         for _ in range(100):
             p = rng.uniform((8, 8), 0, 1) > 0.5
             g = rng.uniform((8, 8), 0, 1) > 0.5
-            assert miou(p, g) == pytest.approx(oracle_iou(p, g), abs=0)
-            assert fscore(p, g) == pytest.approx(oracle_fbeta(p, g), abs=1e-15)
+            iou, f = mask_scores(p, g)
+            assert iou == pytest.approx(oracle_iou(p, g), abs=0)
+            assert f == pytest.approx(oracle_fbeta(p, g), abs=1e-15)
+
+    def test_frames_average_their_oracle_scores(self):
+        # 2-D, 3-D and 4-D masks, 0/1 floats, and frames with an empty side
+        rng = RngState(43)
+        p = rng.uniform((6, 1, 8, 8), 0, 1) > 0.6
+        g = rng.uniform((6, 1, 8, 8), 0, 1) > 0.4
+        p[1] = False
+        g[2] = False
+        p[3] = g[3] = False
+        want = (np.mean([oracle_iou(a, b) for a, b in zip(p, g)]),
+                np.mean([oracle_fbeta(a, b) for a, b in zip(p, g)]))
+        for pp, gg in ((p, g), (p[:, 0], g[:, 0]), (p.astype(float), g.astype(float))):
+            assert mask_scores(pp, gg) == pytest.approx(want, abs=1e-15)
+        assert mask_scores(p[0, 0], g[0, 0]) == mask_scores(p[:1], g[:1])
 
     def test_shape_mismatch_rejected(self):
         from lightavseg.tensor import DimensionError
         with pytest.raises(DimensionError):
-            miou(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 5)))
+            mask_scores(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 5, 5)))
