@@ -38,23 +38,15 @@ INPUT_SEED = 0        # seed of the sweeps' parameters and inputs and the report
 REPORT_REPS = 3       # timed forwards per component report
 
 
-@dataclass
 class AttentionParams:
-    query: Linear1x1
-    key: Linear1x1
-    value: Linear1x1
-    out: Linear1x1
-    d: int
+    """Unregistered query, key, value and output maps, drawn from ``rng`` in that order."""
 
-
-def make_attention_params(channels: int, d: int, rng: RngState) -> AttentionParams:
-    params = {}
-    return AttentionParams(
-        query=Linear1x1("xattn.query", channels, d, rng, params),
-        key=Linear1x1("xattn.key", channels, d, rng, params),
-        value=Linear1x1("xattn.value", channels, d, rng, params),
-        out=Linear1x1("xattn.out", d, channels, rng, params),
-        d=d)
+    def __init__(self, channels: int, d: int, rng: RngState):
+        self.query = Linear1x1("xattn.query", channels, d, rng, {})
+        self.key = Linear1x1("xattn.key", channels, d, rng, {})
+        self.value = Linear1x1("xattn.value", channels, d, rng, {})
+        self.out = Linear1x1("xattn.out", d, channels, rng, {})
+        self.d = d
 
 
 def dense_attention(v: Tensor, audio: AudioState, p: AttentionParams) -> Tensor:
@@ -175,7 +167,7 @@ def scaling_sweep(module: str, grid_sizes, reps: int = 5) -> FlopReport:
     elif module == "xattn":
         channels, gated, counted = XATTN_CHANNELS, "xattn.affinity", "xattn"
         forward = partial(dense_attention,
-                          p=make_attention_params(channels, XATTN_D, RngState(INPUT_SEED)))
+                          p=AttentionParams(channels, XATTN_D, RngState(INPUT_SEED)))
     else:
         raise ContractError(f"unknown sweep module {module!r} (want fusion or xattn)")
     points = []

@@ -74,17 +74,12 @@ def rfft_power(frames: np.ndarray, n_fft: int = N_FFT) -> np.ndarray:
 # Mel filterbank
 # ---------------------------------------------------------------------------
 
-def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
 def _mel_edges_hz() -> np.ndarray:
     """The N_MELS + 2 filter edges (Hz), equally spaced in mel over MEL_FMIN..MEL_FMAX."""
-    return mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2))
+    mel_lo = 2595.0 * np.log10(1.0 + MEL_FMIN / 700.0)
+    mel_hi = 2595.0 * np.log10(1.0 + MEL_FMAX / 700.0)
+    mels = np.linspace(mel_lo, mel_hi, N_MELS + 2)
+    return 700.0 * (10.0 ** (mels / 2595.0) - 1.0)
 
 
 def mel_filterbank() -> np.ndarray:

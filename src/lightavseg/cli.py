@@ -3,8 +3,8 @@
 Config comes from an optional flat key=value file with flag overrides on top.
 Run outputs land in the --out directory: config.txt, log.jsonl,
 ckpt_final.bin, bench.csv, bench.json. eval and inspect read each scene out of
-harness.evaluate's one forward. Exit codes: 0 success, 1 contract/runtime
-failure, 2 usage.
+harness.evaluate's one forward and dump its arrays as numpy .npy files. Exit
+codes: 0 success, 1 contract/runtime failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -18,25 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import (
-    ContractError, DimensionError, NumericalError, RngState, read_array, write_array,
-)
-
-TENSOR_MAGIC = b"TNSR"
-
-
-def write_tensor_file(path, arr: np.ndarray):
-    """Flat binary tensor: magic 'TNSR', u32 ndim, u32 dims, f64 LE data."""
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        write_array(f, arr)
-
-
-def read_tensor_file(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        if f.read(4) != TENSOR_MAGIC:
-            raise ContractError(f"{path}: not a tensor dump")
-        return read_array(f, "tensor")
+from .losses import LOSS_VARIANTS
+from .tensor import ContractError, DimensionError, NumericalError, RngState
 
 
 def _grid_list(text: str) -> list[int]:
@@ -66,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=float, default=None)
         p.add_argument("--weight-decay", type=float, default=None)
         p.add_argument("--loss-variant", type=str, default=None,
-                       choices=["seg", "seg+msa"])
+                       choices=LOSS_VARIANTS)
         p.add_argument("--scenes", type=int, default=None, dest="n_scenes")
         p.add_argument("--hw", type=int, default=None)
         p.add_argument("--log-every", type=int, default=None)
@@ -133,6 +116,13 @@ def _load_scenes(cfg, data_root):
     return generate_dataset(cfg.dataset_spec())
 
 
+def _save_alignment(out_dir: Path, stem: str, scene, seg, tau: float):
+    """One scene's upsampled alignment maps, deepest first, as ``{stem}{k}.npy``."""
+    from .harness import frame_alignment_maps
+    for k, m in enumerate(frame_alignment_maps(seg, scene.frames.shape[2:], tau)):
+        np.save(out_dir / f"{stem}{k}.npy", m)
+
+
 def _cmd_train(args) -> int:
     from .harness import train
     cfg = _load_config(args)
@@ -145,9 +135,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .harness import (
-        evaluate, frame_alignment_maps, load_checkpoint, model_from_checkpoint,
-    )
+    from .harness import evaluate, load_checkpoint, model_from_checkpoint
 
     ckpt = load_checkpoint(args.ckpt)
     model, cfg = model_from_checkpoint(ckpt)
@@ -158,9 +146,7 @@ def _cmd_eval(args) -> int:
         dump_dir.mkdir(parents=True, exist_ok=True)
 
         def dump_scene(i, scene, seg, enc):
-            maps = frame_alignment_maps(seg, scene.frames.shape[2:], cfg.tau)
-            for s_idx, m in enumerate(maps):
-                write_tensor_file(dump_dir / f"scene{i:04d}_scale{s_idx}.tnsr", m)
+            _save_alignment(dump_dir, f"scene{i:04d}_scale", scene, seg, cfg.tau)
 
     # --out is opened before the first forward, so a bad path fails at once
     with open(args.out, "w") if args.out else nullcontext() as out_f:
@@ -208,6 +194,9 @@ def _cmd_gradcheck(args) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name:<28} max_rel_err={r.max_rel_err:.3e} (n={r.n_checked})")
+        for where, analytic, numeric, rel in r.failures[:3]:  # empty when it passed
+            print(f"    at {where}: analytic={analytic:.6e} numeric={numeric:.6e} "
+                  f"rel_err={rel:.3e}")
         ok = ok and r.passed
     print(f"gradcheck: {'all checks passed' if ok else 'FAILURES PRESENT'}")
     return 0 if ok else 1
@@ -216,16 +205,15 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_synth_data(args) -> int:
     from .data import DatasetSpec, materialize_dataset
     spec = DatasetSpec(n_scenes=args.scenes, hw=args.hw, seed=args.seed)
-    dirs = materialize_dataset(spec, args.out)
-    print(f"wrote {len(dirs)} scenes under {args.out}")
+    materialize_dataset(spec, args.out)
+    print(f"wrote {spec.n_scenes} scenes under {args.out}")
     return 0
 
 
 def _cmd_inspect(args) -> int:
     from .data import clip_dirs, generate_scene, load_clip
     from .harness import (
-        evaluate, frame_alignment_maps, load_checkpoint, model_from_checkpoint,
-        predict_foreground,
+        evaluate, load_checkpoint, model_from_checkpoint, predict_foreground,
     )
     from .pngio import write_png
 
@@ -242,13 +230,11 @@ def _cmd_inspect(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def dump(_, scene, seg, enc):
-        write_tensor_file(out_dir / "logits.tnsr", seg.logits.data)
+        np.save(out_dir / "logits.npy", seg.logits.data)
         for k, (feat, state) in enumerate(zip(enc.enhanced, enc.audio_states), start=1):
-            write_tensor_file(out_dir / f"enc_stage{k}_feat.tnsr", feat.data)
-            write_tensor_file(out_dir / f"enc_stage{k}_audio.tnsr", state.value.data)
-        maps = frame_alignment_maps(seg, scene.frames.shape[2:], cfg.tau)
-        for k, m in enumerate(maps):
-            write_tensor_file(out_dir / f"alignment_scale{k}.tnsr", m)
+            np.save(out_dir / f"enc_stage{k}_feat.npy", feat.data)
+            np.save(out_dir / f"enc_stage{k}_audio.npy", state.value.data)
+        _save_alignment(out_dir, "alignment_scale", scene, seg, cfg.tau)
         pred = predict_foreground(seg.logits.data[0, 0]).astype(np.uint8) * 255
         write_png(out_dir / "pred_mask.png", pred)
 

@@ -152,16 +152,12 @@ def save_scene(scene: Scene, clip_dir):
     write_wav(clip_dir / "audio.wav", scene.waveform)
 
 
-def materialize_dataset(spec: DatasetSpec, root) -> list:
-    """Write every scene under root/scene_%05d/ and return the clip dirs."""
+def materialize_dataset(spec: DatasetSpec, root):
+    """Write every scene under root/scene_%05d/."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    dirs = []
     for i in range(spec.n_scenes):
-        d = root / f"scene_{i:05d}"
-        save_scene(generate_scene(spec, i), d)
-        dirs.append(d)
-    return dirs
+        save_scene(generate_scene(spec, i), root / f"scene_{i:05d}")
 
 
 def _check_size(vid: str, what: str, path: Path, arr: np.ndarray, size: tuple):

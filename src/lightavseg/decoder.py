@@ -4,8 +4,9 @@ Top-down path over the pyramid, deepest stage first. At each of the deepest
 ``INTERACT_STAGES`` stages the decoder keeps a recurrent audio state: the
 previous decoder state and the stage's encoder state are channel-aligned,
 concatenated and fused through a ReLU-gated pointwise map, then reweighted by
-a hard-sigmoid gate computed from the max-pooled visual feature. The result is
-injected into the visual feature as a broadcast channel bias. Features then
+the encoder's ``semantic_filter`` (a hard-sigmoid gate computed from the
+max-pooled visual feature). The result is mapped and injected into the visual
+feature by the encoder's ``agve_step``, as a broadcast channel bias. Features then
 merge FPN-style: bilinear x2 upsample, channel-aligning pointwise map, add.
 The shallowest stage merges in visually (no injection), and a pointwise head
 plus a final bilinear resize produce logits at the input resolution.
@@ -18,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backbones import AudioState
-from .encoder import EncoderOutput
+from .encoder import EncoderOutput, agve_step, semantic_filter
 from .layers import Linear1x1
 from .tensor import (
-    FLOPS, RngState, Tensor, add, bilinear_upsample, broadcast_add,
-    concat_channels, global_max_pool, hsigmoid, mul, relu, section,
+    FLOPS, RngState, Tensor, add, bilinear_upsample, concat_channels, relu, section,
 )
 
 INTERACT_STAGES = 3  # deepest stages with audio recurrence and alignment supervision
@@ -61,19 +61,14 @@ def audio_state_update(a_prev_dec: AudioState, a_enc: AudioState, v_enc: Tensor,
     with FLOPS.scope("fusion.state"):
         joint = concat_channels(p.proj_prev(a_prev_dec.value), p.proj_enc(a_enc.value))
         fused = relu(p.fuse_map(joint))
-    with FLOPS.scope("fusion.interaction"):
-        pooled = global_max_pool(v_enc)
-    with FLOPS.scope("fusion.state"):
-        gate = hsigmoid(p.gate_map(pooled))
-        return AudioState(mul(fused, gate))
+    return semantic_filter(fused, v_enc, p.gate_map)
 
 
 def visual_inject(v_enc: Tensor, a_hat: AudioState, p: DecoderStageParams) -> Tensor:
     """Residual broadcast of the mapped audio state into the visual feature."""
     with FLOPS.scope("fusion.state"):
-        bias = p.inject_map(a_hat.value)
-    with FLOPS.scope("fusion.interaction"):
-        return broadcast_add(v_enc, bias)
+        bias = AudioState(p.inject_map(a_hat.value))
+    return agve_step(v_enc, bias)
 
 
 class FusionDecoder:

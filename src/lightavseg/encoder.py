@@ -2,9 +2,9 @@
 
 Two moves per stage, interleaved with the visual backbone:
 
-  * ``har_step`` refines the global audio state: the visual map is max-pooled
-    to 1x1, both sides go through pointwise channel maps, and the pooled visual
-    descriptor gates the audio channels through a hard sigmoid.
+  * ``har_step`` refines the global audio state: the state goes through a
+    pointwise channel map, and ``semantic_filter`` max-pools the visual map to
+    1x1 and gates the audio channels by a hard sigmoid of its own channel map.
   * ``agve_step`` injects the refined state back by broadcasting it over the
     spatial grid and adding it residually (a pure per-channel bias).
 
@@ -45,17 +45,22 @@ class EncoderOutput:
     audio_states: list   # refined AudioState per stage, shallow to deep
 
 
+def semantic_filter(state: Tensor, v: Tensor, gate_map: Linear1x1) -> AudioState:
+    """Semantic filtering: scale ``state`` by ``hsigmoid(gate_map(max-pooled v))``."""
+    with FLOPS.scope("fusion.interaction"):
+        pooled = global_max_pool(v)
+    with FLOPS.scope("fusion.state"):
+        return AudioState(mul(state, hsigmoid(gate_map(pooled))))
+
+
 def har_step(a_prev: AudioState, v: Tensor, p: EncoderStageParams) -> AudioState:
     """Gated audio refinement: map the state, gate it by pooled visual context."""
     if a_prev.frames != v.shape[0]:
         raise ContractError(
             f"audio state has {a_prev.frames} frames but visual batch is {v.shape[0]}")
-    with FLOPS.scope("fusion.interaction"):
-        pooled = global_max_pool(v)
     with FLOPS.scope("fusion.state"):
-        gate = hsigmoid(p.gate_map(pooled))
-        refined = mul(p.audio_map(a_prev.value), gate)
-    return AudioState(refined)
+        mapped = p.audio_map(a_prev.value)
+    return semantic_filter(mapped, v, p.gate_map)
 
 
 def agve_step(v: Tensor, a: AudioState) -> Tensor:

@@ -14,9 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    dense_attention, fusion_stage_params, fusion_step, make_attention_params,
-)
+from .attention import AttentionParams, dense_attention, fusion_stage_params, fusion_step
 from .backbones import AudioState
 from .encoder import agve_step, har_step
 from .losses import total_loss
@@ -40,68 +38,60 @@ def _model_loss_fn(model: SegModel, frames: Tensor, mel: Tensor, y: Tensor):
     return rep.loss
 
 
-def _checker():
-    """A report list and ``run(name, fn, x)``, which appends one named ``grad_check``."""
-    results = []
-
-    def run(name, fn, x):
-        results.append(replace(grad_check(fn, x), name=name))
-
-    return results, run
+def _check(name: str, fn, x: Tensor, **options) -> GradCheckReport:
+    """One ``grad_check(fn, x, **options)``, reported under ``name``."""
+    return replace(grad_check(fn, x, **options), name=name)
 
 
 def op_checks() -> list[GradCheckReport]:
     rng = RngState(42)
-    results, run = _checker()
-
     vec = Tensor(rng.uniform((8,), -0.9, 0.9) + 0.017)
-    run("relu", lambda t: _sq(T.relu(t)), vec)
-    run("sigmoid", lambda t: _sq(T.sigmoid(t)), vec)
-    run("hsigmoid", lambda t: _sq(T.hsigmoid(t)), vec)
-    run("softplus", lambda t: _sq(T.softplus(t)), vec)
-    run("log", lambda t: _sq(T.tlog(T.add(T.mul(t, t), 0.5))), vec)
-    run("sqrt", lambda t: _sq(T.tsqrt(T.add(T.mul(t, t), 0.5))), vec)
-    run("softmax", lambda t: _sq(T.softmax(t.reshape((2, 4)), axis=-1)), vec)
-    run("mul/add/div", lambda t: _sq(T.div(T.add(T.mul(t, t), 1.0),
-                                           T.add(T.mul(t, 0.5), 2.0))), vec)
-
     x4 = Tensor(rng.uniform((1, 3, 4, 4), -1, 1))
     w = Tensor(rng.uniform((5, 3), -0.5, 0.5))
     b = Tensor(rng.uniform((5,), -0.1, 0.1))
-    run("pointwise_linear", lambda t: _sq(T.pointwise_linear(t, w, b)), x4)
     wc = Tensor(rng.uniform((4, 3, 3, 3), -0.4, 0.4))
     bc = Tensor(np.zeros(4))
-    run("conv2d", lambda t: _sq(T.conv2d(t, wc, bc, stride=2, padding=1)), x4)
-    run("global_max_pool", lambda t: _sq(T.global_max_pool(t)), x4)
     g = Tensor(rng.uniform((1, 3, 1, 1), -1, 1))
-    run("broadcast_add", lambda t: _sq(T.broadcast_add(t, g)), x4)
-    run("l2_normalize", lambda t: _sq(T.l2_normalize(t, axis=1)), x4)
-    run("bilinear_upsample", lambda t: _sq(T.bilinear_upsample(t, 7, 9)), x4)
-    run("concat_channels", lambda t: _sq(T.concat_channels(t, T.mul(t, 0.5))), x4)
-    run("matmul", lambda t: _sq(T.matmul(t, T.transpose(t, (0, 2, 1)))),
-        Tensor(rng.uniform((2, 3, 4), -1, 1)))
-    return results
+    x3 = Tensor(rng.uniform((2, 3, 4), -1, 1))
+    return [
+        _check("relu", lambda t: _sq(T.relu(t)), vec),
+        _check("sigmoid", lambda t: _sq(T.sigmoid(t)), vec),
+        _check("hsigmoid", lambda t: _sq(T.hsigmoid(t)), vec),
+        _check("softplus", lambda t: _sq(T.softplus(t)), vec),
+        _check("log", lambda t: _sq(T.tlog(T.add(T.mul(t, t), 0.5))), vec),
+        _check("sqrt", lambda t: _sq(T.tsqrt(T.add(T.mul(t, t), 0.5))), vec),
+        _check("softmax", lambda t: _sq(T.softmax(t.reshape((2, 4)), axis=-1)), vec),
+        _check("mul/add/div", lambda t: _sq(T.div(T.add(T.mul(t, t), 1.0),
+                                                  T.add(T.mul(t, 0.5), 2.0))), vec),
+        _check("pointwise_linear", lambda t: _sq(T.pointwise_linear(t, w, b)), x4),
+        _check("conv2d", lambda t: _sq(T.conv2d(t, wc, bc, stride=2, padding=1)), x4),
+        _check("global_max_pool", lambda t: _sq(T.global_max_pool(t)), x4),
+        _check("broadcast_add", lambda t: _sq(T.broadcast_add(t, g)), x4),
+        _check("l2_normalize", lambda t: _sq(T.l2_normalize(t, axis=1)), x4),
+        _check("bilinear_upsample", lambda t: _sq(T.bilinear_upsample(t, 7, 9)), x4),
+        _check("concat_channels", lambda t: _sq(T.concat_channels(t, T.mul(t, 0.5))), x4),
+        _check("matmul", lambda t: _sq(T.matmul(t, T.transpose(t, (0, 2, 1)))), x3),
+    ]
 
 
 def module_checks() -> list[GradCheckReport]:
     rng = RngState(7)
-    results, run = _checker()
     c = 4
     enc_p, dec_p = fusion_stage_params(c, rng)
     v = Tensor(rng.uniform((1, c, 3, 3), -1, 1))
     a = Tensor(rng.uniform((1, c, 1, 1), -1, 1))
-
-    run("fusion_step(visual)",
-        lambda t: _sq(fusion_step(t, AudioState(a), enc_p, dec_p)), v)
+    attn_p = AttentionParams(c, 3, rng)
 
     def fusion_audio_fn(t):
         state = har_step(AudioState(t), v, enc_p)
         return _sq(agve_step(v, state))
 
-    run("fusion_step(audio)", fusion_audio_fn, a)
-    attn_p = make_attention_params(c, 3, rng)
-    run("dense_attention", lambda t: _sq(dense_attention(t, AudioState(a), attn_p)), v)
-    return results
+    return [
+        _check("fusion_step(visual)",
+               lambda t: _sq(fusion_step(t, AudioState(a), enc_p, dec_p)), v),
+        _check("fusion_step(audio)", fusion_audio_fn, a),
+        _check("dense_attention", lambda t: _sq(dense_attention(t, AudioState(a), attn_p)), v),
+    ]
 
 
 def end_to_end_check(input_coords: int | None = None,
@@ -128,17 +118,18 @@ def end_to_end_check(input_coords: int | None = None,
     mel = Tensor(rng.uniform((1, 96, 64), -20.0, 0.0))
     y = Tensor((rng.uniform((1, 1, 32, 32), 0, 1) > 0.7).astype(np.float64))
 
-    results = [replace(grad_check(lambda t: _model_loss_fn(model, t, mel, y), frames,
-                                  max_coords=input_coords, rng=RngState(5)),
-                       name="end_to_end(d/d input)")]
-    reports = list(grad_check_params(
+    results = [_check("end_to_end(d/d input)", lambda t: _model_loss_fn(model, t, mel, y),
+                      frames, max_coords=input_coords, rng=RngState(5))]
+    reports = grad_check_params(
         lambda: _model_loss_fn(model, frames, mel, y), model.params,
-        max_coords_per_param=param_coords, rng=RngState(6)).values())
+        max_coords_per_param=param_coords, rng=RngState(6))
+    merged = list(reports.values())
     results.append(GradCheckReport(
-        max_rel_err=max(r.max_rel_err for r in reports),
-        tol=reports[0].tol,
-        n_checked=sum(r.n_checked for r in reports),
-        failures=[f for r in reports for f in r.failures],
+        max_rel_err=max(r.max_rel_err for r in merged),
+        tol=merged[0].tol,
+        n_checked=sum(r.n_checked for r in merged),
+        failures=[(f"{name}[{i}]", *rest)
+                  for name, r in reports.items() for i, *rest in r.failures],
         name="end_to_end(d/d params)"))
     return results
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .audio import log_mel
 from .data import DatasetSpec, generate_dataset
-from .losses import alignment_maps, foreground_mask, mask_scores, total_loss
+from .losses import _binary_zeros, alignment_maps, check_objective, mask_scores, total_loss
 from .model import ModelConfig, SegModel
 from .tensor import (
     ContractError, DimensionError, RngState, Tensor, _read_exact, _sigmoid_data,
@@ -52,7 +52,7 @@ class TrainConfig:
     weight_decay: float = 1e-2
     seed: int = 0
     freeze_audio_backbone: bool = True
-    loss_variant: str = "seg+msa"    # seg | seg+msa
+    loss_variant: str = "seg+msa"    # one of losses.LOSS_VARIANTS
     # model
     stage_channels: tuple = (16, 32, 64, 128)
     audio_channels: int = 128
@@ -68,18 +68,15 @@ class TrainConfig:
         # written so that NaN fails every comparison
         for name, ok, want in (
                 ("lr", 0 < self.lr < math.inf, "positive and finite"),
-                ("tau", 0 < self.tau < math.inf, "positive and finite"),
-                ("lam", 0 <= self.lam < math.inf, "non-negative and finite"),
                 ("weight_decay", abs(self.weight_decay) < math.inf, "finite")):
             if not ok:
                 raise ContractError(f"{name} must be {want}, got {getattr(self, name)}")
+        check_objective(self.tau, self.lam, self.loss_variant)
         for name, low in (("batch_size", 1), ("steps", 0), ("log_every", 1)):
             if not getattr(self, name) >= low:
                 raise ContractError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.seed < 2 ** 63:  # the checkpoint stores it as an i64
             raise ContractError(f"seed must be < 2**63, got {self.seed}")
-        if self.loss_variant not in ("seg", "seg+msa"):
-            raise ContractError(f"unknown loss variant {self.loss_variant!r}")
         # ModelConfig and DatasetSpec range-check the model and dataset fields
         self.model_config()
         self.dataset_spec()
@@ -210,7 +207,6 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, cfg: TrainConfig,
 
 @dataclass
 class Checkpoint:
-    version: int
     config: TrainConfig
     params: dict
     adam_m: dict
@@ -267,7 +263,7 @@ def load_checkpoint(path) -> Checkpoint:
                 adam_v[name[len("adam.v/"):]] = arr
             else:
                 params[name] = arr
-    return Checkpoint(version=version, config=config, params=params,
+    return Checkpoint(config=config, params=params,
                       adam_m=adam_m, adam_v=adam_v, adam_t=adam_t,
                       rng=RngState(seed, counter), step=step)
 
@@ -423,7 +419,7 @@ def alignment_separation(model: SegModel, scenes: list, tau: float = 0.1) -> dic
     def collect(_, scene, seg, enc):
         # shallowest supervised scale
         finest = frame_alignment_maps(seg, scene.frames.shape[2:], tau)[-1]
-        mask = foreground_mask(scene.masks).data > 0.5
+        mask = ~_binary_zeros(scene.masks.data, "masks")
         fg_vals.append(finest[mask])
         bg_vals.append(finest[~mask])
 

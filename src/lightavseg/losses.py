@@ -13,8 +13,9 @@ both averaged over frames.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,7 @@ PROB_EPS = 1e-7
 DICE_SMOOTH = 1.0
 COSINE_EPS = 1e-6
 FSCORE_BETA_SQ = 0.3
+LOSS_VARIANTS = ("seg", "seg+msa")  # segmentation alone, or plus alignment
 
 
 @dataclass
@@ -35,12 +37,21 @@ class LossReport:
     bce: float
     msa: float
     total: float
-    per_scale_msa: list = field(default_factory=list)
     loss: Tensor | None = None   # differentiable total, excluded from logs
 
     def to_json_dict(self, step: int) -> dict:
         return {"step": step, "dice": self.dice, "bce": self.bce,
                 "msa": self.msa, "total": self.total}
+
+
+def check_objective(tau: float, lam: float = 0.0, variant: str = "seg"):
+    """Refuse a temperature, balance weight or variant; NaN fails every comparison."""
+    if not 0 < tau < math.inf:
+        raise ContractError(f"tau must be positive and finite, got {tau}")
+    if not 0 <= lam < math.inf:
+        raise ContractError(f"lam must be non-negative and finite, got {lam}")
+    if variant not in LOSS_VARIANTS:
+        raise ContractError(f"unknown loss variant {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +64,6 @@ def _binary_zeros(m: np.ndarray, what: str) -> np.ndarray:
     if np.count_nonzero(zeros) + np.count_nonzero(m == 1.0) != m.size:
         raise ContractError(f"{what} must be strictly binary")
     return zeros
-
-
-def foreground_mask(y: Tensor) -> Tensor:
-    """The sounding-foreground mask as data, checked to be strictly binary."""
-    _binary_zeros(y.data, "masks")
-    return Tensor(y.data.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +203,7 @@ def alignment_maps(features: list, audio: list, tau: float) -> list:
     inside its node, and a no-grad caller that wants full-resolution maps
     calls ``harness.frame_alignment_maps``.
     """
-    if tau <= 0:
-        raise ContractError(f"temperature must be positive, got {tau}")
+    check_objective(tau)
     if len(features) != len(audio):
         raise ContractError(
             f"{len(features)} feature scales but {len(audio)} audio states")
@@ -276,10 +280,7 @@ def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
                lam: float = 0.5, tau: float = 0.1,
                variant: str = "seg+msa") -> LossReport:
     """Assemble the training objective and its per-component report."""
-    if lam < 0:
-        raise ContractError(f"balance weight must be >= 0, got {lam}")
-    if variant not in ("seg", "seg+msa"):
-        raise ContractError(f"unknown loss variant {variant!r}")
+    check_objective(tau, lam, variant)
     # each loss refuses a mask that requires grad; msa_loss checks it is binary
     d = dice_loss(logits, y)
     b = bce_loss(logits, y)
@@ -287,11 +288,10 @@ def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
 
     # seg logs msa without building a graph for backward to walk
     with no_grad() if variant == "seg" else nullcontext():
-        m, per_scale = msa_loss(alignment_maps(features, audio, tau), y)
+        m, _ = msa_loss(alignment_maps(features, audio, tau), y)
     loss = seg if variant == "seg" else add(seg, mul(m, lam))
     return LossReport(
-        dice=d.item(), bce=b.item(), msa=m.item(), total=loss.item(),
-        per_scale_msa=[float(v) for v in per_scale], loss=loss)
+        dice=d.item(), bce=b.item(), msa=m.item(), total=loss.item(), loss=loss)
 
 
 # ---------------------------------------------------------------------------

@@ -71,17 +71,16 @@ def _unfilter(raw: bytes, h: int, w: int, channels: int) -> np.ndarray:
             cur = np.cumsum(line.reshape(-1, channels), axis=0).reshape(-1) & 0xFF
         elif ftype == 2:  # up
             cur = (line + prev) & 0xFF
-        elif ftype == 3:  # average
-            cur = line.copy()
-            for x in range(stride):
-                left = cur[x - channels] if x >= channels else 0
-                cur[x] = (cur[x] + (left + prev[x]) // 2) & 0xFF
-        elif ftype == 4:  # paeth
-            cur = line.copy()
-            for x in range(stride):
-                left = cur[x - channels] if x >= channels else 0
-                ul = prev[x - channels] if x >= channels else 0
-                cur[x] = (cur[x] + _paeth(int(left), int(prev[x]), int(ul))) & 0xFF
+        elif ftype in (3, 4):  # average, paeth: byte by byte on Python ints
+            # a zero pad of one pixel on the left stands for the bytes before the row
+            cur, up = [0] * channels + line.tolist(), [0] * channels + prev.tolist()
+            if ftype == 3:
+                for x in range(channels, len(cur)):
+                    cur[x] = (cur[x] + (cur[x - channels] + up[x]) // 2) & 0xFF
+            else:
+                for x in range(channels, len(cur)):
+                    cur[x] = (cur[x] + _paeth(cur[x - channels], up[x], up[x - channels])) & 0xFF
+            cur = np.array(cur[channels:], dtype=np.int64)
         else:
             raise ContractError(f"unknown PNG filter type {ftype}")
         out[y] = cur.astype(np.uint8)

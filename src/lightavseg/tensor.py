@@ -871,7 +871,9 @@ class GradCheckReport:
     max_rel_err: float
     tol: float
     n_checked: int
-    failures: list = field(default_factory=list)  # (flat_index, analytic, numeric, rel)
+    # (flat_index, analytic, numeric, rel) per failing coordinate; a report
+    # merged over named parameters gives the index as f"{param}[{flat_index}]"
+    failures: list = field(default_factory=list)
     name: str = ""   # what was checked, as the gradient suite reports it
 
     @property

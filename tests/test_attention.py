@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lightavseg.attention import (
-    attention_flops_closed_form, bench_csv, dense_attention, fit_loglog_slope,
-    make_attention_params, scaling_sweep,
+    AttentionParams, attention_flops_closed_form, bench_csv, dense_attention,
+    fit_loglog_slope, scaling_sweep,
 )
 from lightavseg.backbones import AudioState
 from lightavseg.tensor import (
@@ -16,7 +16,7 @@ from lightavseg.tensor import (
 class TestDenseAttention:
     def test_single_token_weight_is_one(self):
         rng = RngState(0)
-        p = make_attention_params(4, 3, rng)
+        p = AttentionParams(4, 3, rng)
         v = Tensor(rng.uniform((1, 4, 1, 1), -1, 1))
         a = AudioState(Tensor(np.zeros((1, 4, 1, 1))))
         out = dense_attention(v, a, p)
@@ -25,7 +25,7 @@ class TestDenseAttention:
 
     def test_identical_tokens_give_uniform_mixing(self):
         rng = RngState(1)
-        p = make_attention_params(3, 2, rng)
+        p = AttentionParams(3, 2, rng)
         token = rng.uniform((1, 3, 1, 1), -1, 1)
         v = Tensor(np.tile(token, (1, 1, 2, 2)))
         a = AudioState(Tensor(rng.uniform((1, 3, 1, 1), -1, 1)))
@@ -42,7 +42,7 @@ class TestDenseAttention:
 
     def test_flops_match_closed_form_at_n196(self):
         rng = RngState(3)
-        p = make_attention_params(64, 64, rng)
+        p = AttentionParams(64, 64, rng)
         v = Tensor(rng.uniform((1, 64, 14, 14), -1, 1))
         a = AudioState(Tensor(rng.uniform((1, 64, 1, 1), -1, 1)))
         FLOPS.reset()
@@ -54,7 +54,7 @@ class TestDenseAttention:
 
     def test_gradients_at_small_n(self):
         rng = RngState(4)
-        p = make_attention_params(3, 2, rng)
+        p = AttentionParams(3, 2, rng)
         v = Tensor(rng.uniform((1, 3, 4, 4), -1, 1))  # N = 16
         a = AudioState(Tensor(rng.uniform((1, 3, 1, 1), -1, 1)))
         rep = grad_check(lambda t: tsum(mul(dense_attention(t, a, p),

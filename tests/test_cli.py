@@ -7,14 +7,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
-from lightavseg.cli import (
-    _build_parser, _load_config, main, read_tensor_file, write_tensor_file,
-)
+from lightavseg.cli import _build_parser, _load_config, main
 from lightavseg.harness import TrainConfig
-from lightavseg.tensor import ContractError, RngState
+from lightavseg.tensor import ContractError
 
 
 # removed settings that older configs and checkpoints may still name
@@ -268,9 +264,9 @@ class TestEvalCli:
         dump = tmp_path / "align"
         assert main(["eval", "--ckpt", str(ckpt), "--dump-alignment",
                      str(dump)]) == 0
-        files = sorted(dump.glob("scene0000_scale*.tnsr"))
+        files = sorted(dump.glob("scene0000_scale*.npy"))
         assert len(files) == 3
-        arr = read_tensor_file(files[0])
+        arr = np.load(files[0], allow_pickle=False)
         assert arr.shape == (1, 1, 32, 32)
         assert np.all(arr > 0.0) and np.all(arr < 1.0)
 
@@ -293,7 +289,7 @@ class TestEvalCli:
         assert main([command, "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
                      dump_flag, str(tmp_path / "dump")]) == 0
         assert len(calls) == forwards
-        assert len(list((tmp_path / "dump").glob("*scale*.tnsr"))) == forwards * 3
+        assert len(list((tmp_path / "dump").glob("*scale*.npy"))) == forwards * 3
 
     def test_inspect_alignment_equals_eval_dump(self, tmp_path):
         assert main(toy_train_args(tmp_path / "run")) == 0
@@ -304,8 +300,8 @@ class TestEvalCli:
             assert main(["inspect", "--ckpt", ckpt, "--index", str(k),
                          "--out", str(tmp_path / f"ins{k}")]) == 0
             for s in range(3):
-                inspected = (tmp_path / f"ins{k}" / f"alignment_scale{s}.tnsr").read_bytes()
-                dumped = (tmp_path / "align" / f"scene{k:04d}_scale{s}.tnsr").read_bytes()
+                inspected = (tmp_path / f"ins{k}" / f"alignment_scale{s}.npy").read_bytes()
+                dumped = (tmp_path / "align" / f"scene{k:04d}_scale{s}.npy").read_bytes()
                 assert inspected == dumped
 
 
@@ -425,10 +421,10 @@ class TestOtherCommands:
         ckpt = tmp_path / "run" / "ckpt_final.bin"
         assert main(["inspect", "--ckpt", str(ckpt), "--index", "1",
                      "--out", str(tmp_path / "ins")]) == 0
-        dumped = read_tensor_file(tmp_path / "ins" / "logits.tnsr")
-        assert dumped.shape == (1, 1, 32, 32)
+        dumped = np.load(tmp_path / "ins" / "logits.npy", allow_pickle=False)
+        assert dumped.shape == (1, 1, 32, 32) and dumped.dtype == np.float64
         assert (tmp_path / "ins" / "pred_mask.png").exists()
-        assert (tmp_path / "ins" / "alignment_scale0.tnsr").exists()
+        assert (tmp_path / "ins" / "alignment_scale0.npy").exists()
 
     def test_inspect_data_reads_only_its_clip(self, tmp_path, monkeypatch):
         from lightavseg import data
@@ -476,39 +472,3 @@ class TestOtherCommands:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
-
-    def test_tensor_file_round_trip(self, tmp_path):
-        arr = RngState(1).uniform((2, 3, 4), -5, 5)
-        p = tmp_path / "t.tnsr"
-        write_tensor_file(p, arr)
-        np.testing.assert_array_equal(read_tensor_file(p), arr)
-
-    def test_tensor_file_layout(self, tmp_path):
-        p = tmp_path / "t.tnsr"
-        write_tensor_file(p, np.array([[1.0, -2.5, 3.0]]))
-        assert p.read_bytes() == (b"TNSR" + struct.pack("<III", 2, 1, 3)
-                                  + struct.pack("<3d", 1.0, -2.5, 3.0))
-
-    def test_tensor_file_corrupt_dims_fail_cleanly(self, tmp_path):
-        p = tmp_path / "t.tnsr"
-        p.write_bytes(b"TNSR" + struct.pack("<4I", 3, *[0xFFFFFFFF] * 3) + b"\0" * 16)
-        with pytest.raises(ContractError, match="truncated data"):
-            read_tensor_file(p)
-
-    @settings(max_examples=60, deadline=None)
-    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, max_side=4),
-                          elements=st.floats(allow_nan=False, allow_infinity=False)))
-    def test_tensor_file_round_trip_is_bit_identical(self, tmp_path_factory, arr):
-        p = tmp_path_factory.mktemp("tnsr") / "t.tnsr"
-        write_tensor_file(p, arr)
-        back = read_tensor_file(p)
-        assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
-
-    def test_tensor_file_truncated_at_every_offset(self, tmp_path):
-        p = tmp_path / "t.tnsr"
-        write_tensor_file(p, RngState(2).uniform((2, 3), -1, 1))
-        full = p.read_bytes()
-        for n in range(len(full)):
-            p.write_bytes(full[:n])
-            with pytest.raises(ContractError):
-                read_tensor_file(p)

@@ -116,7 +116,8 @@ class TestPng:
 
     @pytest.mark.parametrize("filters", [[1], [2], [3], [4], [0, 1, 2, 3, 4, 2, 4]],
                              ids=["sub", "up", "average", "paeth", "mixed"])
-    @pytest.mark.parametrize("shape", [(7, 5, 3), (6, 9)], ids=["rgb", "gray"])
+    @pytest.mark.parametrize("shape", [(7, 5, 3), (6, 9), (8, 224, 3)],
+                             ids=["rgb", "gray", "rgb224"])
     def test_every_filter_type_decodes(self, tmp_path, shape, filters):
         img = RngState(4)._next().integers(0, 256, size=shape).astype(np.uint8)
         p = tmp_path / "f.png"

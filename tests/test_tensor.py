@@ -1,11 +1,14 @@
 """Tensor core: op semantics, gradients vs central differences, FLOP counters."""
 
 import contextlib
+import struct
 import time
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lightavseg import gradsuite, tensor as T
 from lightavseg.losses import total_loss
@@ -750,3 +753,51 @@ class TestDeterminism:
         with no_grad():
             y = T.mul(x, x)
         assert not y.requires_grad and y._backward is None
+
+
+class TestArrayRecord:
+    """``write_array``/``read_array`` on a plain file, the record checkpoints hold."""
+
+    @staticmethod
+    def write(path, arr):
+        with open(path, "wb") as f:
+            T.write_array(f, arr)
+
+    @staticmethod
+    def read(path):
+        with open(path, "rb") as f:
+            return T.read_array(f, "array")
+
+    def test_round_trip(self, tmp_path):
+        arr = RngState(1).uniform((2, 3, 4), -5, 5)
+        self.write(tmp_path / "a.bin", arr)
+        np.testing.assert_array_equal(self.read(tmp_path / "a.bin"), arr)
+
+    def test_layout(self, tmp_path):
+        self.write(tmp_path / "a.bin", np.array([[1.0, -2.5, 3.0]]))
+        assert (tmp_path / "a.bin").read_bytes() == (
+            struct.pack("<III", 2, 1, 3) + struct.pack("<3d", 1.0, -2.5, 3.0))
+
+    def test_corrupt_dims_fail_cleanly(self, tmp_path):
+        p = tmp_path / "a.bin"
+        p.write_bytes(struct.pack("<4I", 3, *[0xFFFFFFFF] * 3) + b"\0" * 16)
+        with pytest.raises(ContractError, match="truncated data"):
+            self.read(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, max_side=4),
+                          elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, arr):
+        p = tmp_path_factory.mktemp("record") / "a.bin"
+        self.write(p, arr)
+        back = self.read(p)
+        assert back.shape == arr.shape and back.tobytes() == arr.tobytes()
+
+    def test_truncated_at_every_offset(self, tmp_path):
+        p = tmp_path / "a.bin"
+        self.write(p, RngState(2).uniform((2, 3), -1, 1))
+        full = p.read_bytes()
+        for n in range(len(full)):
+            p.write_bytes(full[:n])
+            with pytest.raises(ContractError):
+                self.read(p)
