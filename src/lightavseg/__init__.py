@@ -34,5 +34,3 @@ __all__ = [
     "no_grad",
     "parameter",
 ]
-
-__version__ = "0.1.0"

@@ -10,6 +10,8 @@ mel filterbank spanning 125-7500 Hz, then log-compressed with a 1e-10 floor.
 from __future__ import annotations
 
 import math
+import os
+import struct
 import wave
 from dataclasses import dataclass
 
@@ -170,19 +172,45 @@ def synth_tone(freq_hz: float, duration_s: float, amplitude: float) -> Waveform:
 # File formats
 # ---------------------------------------------------------------------------
 
+def _check_chunk_sizes(f, path):
+    """Refuse a RIFF chunk whose size runs past the end of the file.
+
+    ``wave`` trusts these sizes: it seeks by them, and it asks ``read`` for
+    the size the ``data`` chunk names. The walk stops at ``data``, the last
+    chunk ``wave`` reads.
+    """
+    end = os.fstat(f.fileno()).st_size
+    pos = 0
+    while pos + 8 <= end:
+        f.seek(pos)
+        ident, size = struct.unpack("<4sI", f.read(8))
+        if size > end - pos - 8:
+            raise ContractError(f"{path}: WAV chunk {ident!r} is {size} bytes, "
+                                f"but {end - pos - 8} follow it")
+        if ident == b"data":
+            break
+        # the first chunk is the RIFF header, whose chunks follow its form type
+        pos = pos + 8 + size + (size & 1) if pos else 12
+    f.seek(0)
+
+
 def read_wav(path) -> Waveform:
     """16-bit little-endian PCM WAV; stereo is averaged to mono.
 
     A truncated or malformed file is a ContractError, never zero-padded.
     """
     try:
-        with wave.open(str(path), "rb") as f:
-            sample_width = f.getsampwidth()
-            n_channels = f.getnchannels()
-            rate = f.getframerate()
-            n_frames = f.getnframes()
-            raw = f.readframes(n_frames)
-    except (wave.Error, EOFError) as e:
+        with open(path, "rb") as raw_file:
+            _check_chunk_sizes(raw_file, path)
+            with wave.open(raw_file, "rb") as f:
+                sample_width = f.getsampwidth()
+                n_channels = f.getnchannels()
+                rate = f.getframerate()
+                n_frames = f.getnframes()
+                raw = f.readframes(n_frames)
+    except (wave.Error, EOFError, RuntimeError) as e:
+        # ``wave`` raises a bare RuntimeError when a chunk size sends it past
+        # the end of the RIFF chunk
         raise ContractError(f"{path}: malformed WAV ({str(e) or 'truncated'})") from None
     if sample_width != 2:
         raise ContractError(f"{path}: only 16-bit PCM WAV supported, "

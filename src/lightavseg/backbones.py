@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .audio import FRAMES_PER_WINDOW, N_MELS
 from .layers import Conv3x3, Linear1x1
 from .tensor import (
-    DimensionError, RngState, Tensor, relu, reshape, section, tmean,
+    DimensionError, RngState, Tensor, reshape, section, tmean,
 )
 
 
@@ -43,7 +43,7 @@ class VisualStage:
         self.mix = Linear1x1(f"{name}.mix", c_out, c_out, rng, params)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return relu(self.mix(relu(self.conv(x))))
+        return self.mix(self.conv(x), relu=True)
 
 
 class VisualBackbone:
@@ -61,7 +61,7 @@ class VisualBackbone:
 
     def stem_forward(self, frames: Tensor) -> Tensor:
         with section("visual_backbone"):
-            return relu(self.stem(frames))
+            return self.stem(frames)
 
     def stage_forward(self, index: int, x: Tensor) -> Tensor:
         with section("visual_backbone"):
@@ -84,5 +84,5 @@ class AudioEmbed:
             t = windows.shape[0]
             pooled = tmean(windows, axis=1)                # (T, 64)
             x = reshape(pooled, (t, N_MELS, 1, 1))
-            return AudioState(self.fc2(relu(self.fc1(x))))
+            return AudioState(self.fc2(self.fc1(x, relu=True)))
 

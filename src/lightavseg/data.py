@@ -4,7 +4,9 @@ Scene construction makes audio indispensable by design: scenes come in pairs
 (indices 2k and 2k+1) that render *pixel-identical* frames — two visually
 identical shapes on a textured background — and differ only in which shape
 emits the tone and therefore in the ground-truth mask. A predictor that
-ignores audio cannot beat 0.5 IoU averaged over a pair.
+ignores audio cannot beat 0.5 IoU averaged over a pair. The two scenes of a
+pair hold one frame array, which is read-only: writing to it raises
+``ValueError``, and a caller that wants to edit a frame copies it first.
 
 Rasterization uses integer centers and extents only, so scenes are
 bit-reproducible across platforms.
@@ -116,14 +118,18 @@ def _pair_layout(seed: int, hw: int, pair: int):
 
 
 def generate_scene(spec: DatasetSpec, index: int) -> Scene:
-    """Deterministic one-frame scene for (spec.seed, index); pairs share frames."""
+    """Deterministic one-frame scene for (spec.seed, index).
+
+    Scenes 2k and 2k+1 share one read-only frame array, the one the pair's
+    layout renders, so a dataset holds each frame once.
+    """
     if not 0 <= index < spec.n_scenes:
         raise ContractError(f"scene index {index} is outside [0, {spec.n_scenes})")
     pair, sounding = divmod(index, 2)
     frame, footprints = _pair_layout(spec.seed, spec.hw, pair)
     freq = TONE_HZ[sounding]
     return Scene(
-        frames=Tensor(frame.copy()),  # each scene owns a writable frame
+        frames=Tensor(frame),
         waveform=synth_tone(freq, 1.0, TONE_AMPLITUDE),
         masks=Tensor(footprints[sounding].astype(np.float64)[None, None]),
         meta={"index": index, "tone_hz": freq},

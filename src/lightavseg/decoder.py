@@ -22,7 +22,7 @@ from .backbones import AudioState
 from .encoder import EncoderOutput, agve_step, semantic_filter
 from .layers import Linear1x1
 from .tensor import (
-    FLOPS, RngState, Tensor, add, bilinear_upsample, concat_channels, relu, section,
+    FLOPS, RngState, Tensor, add, bilinear_upsample, concat_channels, section,
 )
 
 INTERACT_STAGES = 3  # deepest stages with audio recurrence and alignment supervision
@@ -60,7 +60,7 @@ def audio_state_update(a_prev_dec: AudioState, a_enc: AudioState, v_enc: Tensor,
     """Fuse the recurrent and encoder audio states, gated by pooled visuals."""
     with FLOPS.scope("fusion.state"):
         joint = concat_channels(p.proj_prev(a_prev_dec.value), p.proj_enc(a_enc.value))
-        fused = relu(p.fuse_map(joint))
+        fused = p.fuse_map(joint, relu=True)
     return semantic_filter(fused, v_enc, p.gate_map)
 
 

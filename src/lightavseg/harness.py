@@ -174,7 +174,15 @@ class AdamWState:
 
 def adamw_step(params: dict, grads: dict, state: AdamWState, cfg: TrainConfig,
                update_names=None):
-    """One decoupled-weight-decay Adam step over the named parameters."""
+    """One decoupled-weight-decay Adam step over the named parameters.
+
+    Updates m, v and the parameter in place through two scratch arrays per
+    parameter, freed with the call. Each product and quotient is the one the
+    plain expressions below compute, in the same order, so the result is the
+    same bit for bit:
+        m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        p -= (lr wd) p;  p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+    """
     names = sorted(update_names if update_names is not None else params)
     state.t += 1
     t = state.t
@@ -191,14 +199,22 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, cfg: TrainConfig,
             state.v[name] = np.zeros_like(g)
         m = state.m[name]
         v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
         p = params[name].data
+        step, denom = np.empty_like(g), np.empty_like(g)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=step)
+        v += np.multiply(step, g, out=step)
         if cfg.weight_decay:
-            p -= cfg.lr * cfg.weight_decay * p
-        p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            p -= np.multiply(p, cfg.lr * cfg.weight_decay, out=step)
+        np.divide(m, bc1, out=step)
+        step *= cfg.lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        p -= step
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ class Linear1x1:
         params[f"{name}.weight"] = self.weight
         params[f"{name}.bias"] = self.bias
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return pointwise_linear(x, self.weight, self.bias)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return pointwise_linear(x, self.weight, self.bias, relu=relu)
 
 
 class Conv3x3:
-    """3x3 convolution, stride 2, padding 1, with registered weight/bias."""
+    """3x3 convolution, stride 2, padding 1, then ReLU, with registered weight/bias."""
 
     def __init__(self, name: str, c_in: int, c_out: int, rng: RngState, params: dict):
         fan_in, fan_out = c_in * 9, c_out * 9
@@ -31,4 +31,4 @@ class Conv3x3:
         params[f"{name}.bias"] = self.bias
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=2, padding=1)
+        return conv2d(x, self.weight, self.bias, stride=2, padding=1, relu=True)

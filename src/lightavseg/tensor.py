@@ -11,6 +11,13 @@ gradient to ``_accum``, which stores an array the op has just created as is
 and copies anything that may be a view or may be handed to a second parent.
 Non-finite values raise immediately, so NaN/Inf never propagate silently.
 
+``conv2d`` and ``pointwise_linear`` take ``relu=True`` to apply a ReLU within
+their own node, which then holds one activation array instead of two nodes'
+two; values, gradients and FLOP counts equal the two-node chain bit for bit.
+``conv2d`` builds its patch matrix and scatters its input gradient without a
+zero-padded copy of the input: only the border strips that read padding are
+zeroed.
+
 FLOP accounting convention (forward pass only):
   * ``madds``  -- multiply-accumulate counts. Channel maps (``pointwise_linear``)
     and convolutions record one madd per MAC. General ``matmul`` records two
@@ -64,6 +71,9 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
+MAX_RANK = 4  # the largest rank of any array the program writes
+
+
 def write_array(f, arr: np.ndarray):
     """One array record: u32 rank, u32 dims, then the data as f64 little-endian."""
     arr = np.asarray(arr, dtype="<f8")
@@ -72,8 +82,11 @@ def write_array(f, arr: np.ndarray):
 
 
 def read_array(f, what: str) -> np.ndarray:
-    """Read one ``write_array`` record; ``what`` names it in a truncation error."""
+    """Read one ``write_array`` record; ``what`` names it in a ContractError."""
     (ndim,) = struct.unpack("<I", _read_exact(f, 4, f"rank of {what}"))
+    if ndim > MAX_RANK:
+        name = getattr(f, "name", "input")
+        raise ContractError(f"{name}: rank {ndim} of {what} is above {MAX_RANK}")
     shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, f"shape of {what}"))
     data = _read_exact(f, 8 * math.prod(shape), f"data of {what}")
     return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
@@ -243,10 +256,7 @@ class Tensor:
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if 0 in arr.shape:
             raise DimensionError(f"tensor extents must be positive, got {arr.shape}")
-        # the sum of squares is finite only if every element is, unless the
-        # squares overflow; np.vdot, unlike ``@``, warns of no such overflow
-        if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
-            raise NumericalError(f"non-finite values in result of op '{op}'")
+        _check_finite(arr, op)
         self.data = arr
         self.grad = None
         self.requires_grad = requires_grad
@@ -281,6 +291,14 @@ class Tensor:
 
     def reshape(self, shape):
         return reshape(self, shape)
+
+
+def _check_finite(arr: np.ndarray, op: str):
+    """Raise NumericalError, naming ``op``, if ``arr`` holds a NaN or an Inf."""
+    # the sum of squares is finite only if every element is, unless the
+    # squares overflow; np.vdot, unlike ``@``, warns of no such overflow
+    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+        raise NumericalError(f"non-finite values in result of op '{op}'")
 
 
 def parameter(data) -> Tensor:
@@ -485,6 +503,27 @@ def relu(x) -> Tensor:
     return _result(out, "relu", (x,), bw)
 
 
+def _relu_result(out: np.ndarray, op: str, parents, bw) -> Tensor:
+    """Producer ``op``'s node with a ReLU applied in place to its fresh ``out``.
+
+    The producer and its ReLU are one graph node that holds one array, and
+    ``bw`` runs after the ReLU's gradient mask. Values, gradients and FLOP
+    counts equal those of ``relu`` on the producer's node bit for bit: the
+    mask is read from the activation, positive exactly where the
+    pre-activation was, and multiplies the gradient in place, because the
+    gradient ``backward`` hands a closure is the node's own array.
+    """
+    _check_finite(out, op)  # after the ReLU, a -inf would read as 0
+    np.maximum(out, 0.0, out=out)
+    FLOPS.add(elems=out.size)
+
+    def relu_bw(g):
+        np.multiply(g, out > 0.0, out=g)
+        bw(g)
+
+    return _result(out, op + "_relu", parents, relu_bw)
+
+
 def hsigmoid(x) -> Tensor:
     """Hard sigmoid clamp((x+3)/6, 0, 1); subgradient 0 at the kinks."""
     x = _coerce(x)
@@ -648,11 +687,12 @@ def concat_channels(a, b) -> Tensor:
 # Linear maps and convolution
 # ---------------------------------------------------------------------------
 
-def pointwise_linear(x, weight, bias) -> Tensor:
+def pointwise_linear(x, weight, bias, relu: bool = False) -> Tensor:
     """Per-position channel map (a 1x1 convolution).
 
     out[b,o,h,w] = sum_c weight[o,c] * x[b,c,h,w] + bias[o].
-    Records B*C_out*C_in*H*W madds.
+    Records B*C_out*C_in*H*W madds. ``relu=True`` applies a ReLU within the
+    same node (see ``_relu_result``).
     """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     if x.ndim != 4:
@@ -679,12 +719,50 @@ def pointwise_linear(x, weight, bias) -> Tensor:
             _accum(weight, _channel_major(gf) @ _channel_major(xf).T, own=True)
         _accum(bias, gf.sum(axis=(0, 2)), own=True)
 
-    return _result(out.reshape(B, Co, H, W), "pointwise_linear", (x, weight, bias), bw)
+    out = out.reshape(B, Co, H, W)
+    return (_relu_result if relu else _result)(out, "pointwise_linear", (x, weight, bias), bw)
 
 
 def _channel_major(a: np.ndarray) -> np.ndarray:
     """(B, C, ...) -> (C, B*...): the batch folded into the column axis."""
     return a.reshape(a.shape[0], a.shape[1], -1).transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _tap_span(k: int, stride: int, padding: int, n_in: int, n_out: int):
+    """Where kernel tap ``k`` reads inside an unpadded axis of ``n_in``.
+
+    Returns ``(lo, hi, first)``: output positions ``lo <= o < hi`` read input
+    index ``o * stride + k - padding``, which lies in ``[0, n_in)``, and
+    ``first`` is the index read at ``lo``. Outside ``[lo, hi)`` the tap reads
+    padding.
+    """
+    lo = min(n_out, max(0, -((k - padding) // stride)))
+    hi = max(lo, min(n_out, (n_in - 1 + padding - k) // stride + 1))
+    return lo, hi, lo * stride + k - padding
+
+
+@functools.lru_cache(maxsize=64)
+def _conv_taps(K: int, stride: int, padding: int, H: int, W: int, Ho: int, Wo: int):
+    """Index plan of a convolution's taps over an unpadded (H, W) input.
+
+    Returns ``(strips, taps)`` for a (C, K, K, B, Ho, Wo) patch array and a
+    (C, B, H, W) view of the input. ``strips`` index the patch entries that
+    read padding. ``taps`` pairs, in (ki, kj) order, the patch entries of each
+    tap that read inside the input with the input window they read. Cached
+    by shape, since a model runs few convolution shapes.
+    """
+    rows = [_tap_span(k, stride, padding, H, Ho) for k in range(K)]
+    cols = [_tap_span(k, stride, padding, W, Wo) for k in range(K)]
+    strips = [np.s_[:, k, :, :, a:b] for k, (lo, hi, _) in enumerate(rows)
+              for a, b in ((0, lo), (hi, Ho)) if a < b]
+    strips += [np.s_[:, :, k, ..., a:b] for k, (lo, hi, _) in enumerate(cols)
+               for a, b in ((0, lo), (hi, Wo)) if a < b]
+    taps = tuple((np.s_[:, ki, kj, :, r0:r1, c0:c1],
+                  np.s_[:, :, i0:i0 + stride * (r1 - r0):stride,
+                        j0:j0 + stride * (c1 - c0):stride])
+                 for ki, (r0, r1, i0) in enumerate(rows)
+                 for kj, (c0, c1, j0) in enumerate(cols) if r0 < r1 and c0 < c1)
+    return tuple(strips), taps
 
 
 def _im2col(x: np.ndarray, K: int, stride: int, padding: int,
@@ -693,24 +771,27 @@ def _im2col(x: np.ndarray, K: int, stride: int, padding: int,
 
     Row (c, ki, kj) holds input channel c at kernel tap (ki, kj) for every
     output position, batch-major, so a convolution is one GEMM against the
-    (C_out, C*K*K) weight matrix.
+    (C_out, C*K*K) weight matrix. Each tap copies its in-bounds window
+    straight from ``x`` and only the strips that read padding are zeroed, so
+    no padded copy of ``x`` is made.
     """
     B, C, H, W = x.shape
-    if padding:
-        xp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
-        xp[:, :, padding:padding + H, padding:padding + W] = x
-    else:
-        xp = x
+    strips, taps = _conv_taps(K, stride, padding, H, W, Ho, Wo)
     cols = np.empty((C, K, K, B, Ho, Wo))
-    for ki in range(K):
-        for kj in range(K):
-            cols[:, ki, kj] = xp[:, :, ki:ki + stride * Ho:stride,
-                                 kj:kj + stride * Wo:stride].transpose(1, 0, 2, 3)
+    for strip in strips:
+        cols[strip] = 0.0
+    xc = x.transpose(1, 0, 2, 3)
+    for patch, window in taps:
+        cols[patch] = xc[window]
     return cols.reshape(C * K * K, B * Ho * Wo)
 
 
-def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """2D convolution with square kernel; records one madd per MAC."""
+def conv2d(x, weight, bias, stride: int = 1, padding: int = 0,
+           relu: bool = False) -> Tensor:
+    """2D convolution with square kernel; records one madd per MAC.
+
+    ``relu=True`` applies a ReLU within the same node (see ``_relu_result``).
+    """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError(f"conv2d needs 4D input/weight, got {x.shape}, {weight.shape}")
@@ -720,9 +801,8 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
         raise DimensionError(f"conv2d weight {weight.shape} does not match input {x.shape}")
     if bias.shape != (Co,):
         raise DimensionError(f"conv2d bias {bias.shape} does not match weight {weight.shape}")
-    Hp, Wp = H + 2 * padding, W + 2 * padding
-    Ho = (Hp - K) // stride + 1
-    Wo = (Wp - K) // stride + 1
+    Ho = (H + 2 * padding - K) // stride + 1
+    Wo = (W + 2 * padding - K) // stride + 1
     if Ho < 1 or Wo < 1:
         raise DimensionError(f"conv2d output empty for input {x.shape}, kernel {K}, stride {stride}")
     wm = weight.data.reshape(Co, C * K * K)
@@ -739,16 +819,16 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
         _accum(bias, gm.sum(axis=1), own=True)
         if x.requires_grad:
             gcols = (wm.T @ gm).reshape(C, K, K, B, Ho, Wo)
-            gxp = np.zeros((C, B, Hp, Wp))
-            for ki in range(K):
-                for kj in range(K):
-                    gxp[:, :, ki:ki + stride * Ho:stride,
-                        kj:kj + stride * Wo:stride] += gcols[:, ki, kj]
-            _accum(x, gxp[:, :, padding:padding + H, padding:padding + W]
-                   .transpose(1, 0, 2, 3))
+            gx = np.zeros((B, C, H, W))
+            gxc = gx.transpose(1, 0, 2, 3)
+            # each tap's in-bounds part, added in (ki, kj) order; what falls
+            # on the padding is not a gradient of x
+            for patch, window in _conv_taps(K, stride, padding, H, W, Ho, Wo)[1]:
+                gxc[window] += gcols[patch]
+            _accum(x, gx, own=True)
 
-    out = out.reshape(Co, B, Ho, Wo).transpose(1, 0, 2, 3)
-    return _result(out, "conv2d", (x, weight, bias), bw)
+    out = np.ascontiguousarray(out.reshape(Co, B, Ho, Wo).transpose(1, 0, 2, 3))
+    return (_relu_result if relu else _result)(out, "conv2d", (x, weight, bias), bw)
 
 
 def matmul(a, b) -> Tensor:

@@ -1,6 +1,7 @@
 """Audio frontend: resampling, FFT vs DFT oracle, mel filterbank, log-mel, IO."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -238,3 +239,21 @@ class TestIO:
             cut.write_bytes(full[:n])
             with pytest.raises(ContractError):
                 read_wav(cut)
+
+    @pytest.mark.parametrize("edits,message", [
+        ({16: 0xFFFFFFF0}, "chunk b'fmt ' is 4294967280 bytes"),
+        ({16: 100000}, "chunk b'fmt ' is 100000 bytes"),
+        # a RIFF size that ends inside the renamed data chunk: ``wave`` seeks
+        # past the RIFF chunk and raises a bare RuntimeError
+        ({4: 0x155, 36: int.from_bytes(b"dat^", "little")}, "malformed WAV"),
+    ], ids=["fmt-size-huge", "fmt-size-past-end", "riff-size-short"])
+    def test_corrupt_chunk_size_is_a_contract_error(self, tmp_path, edits, message):
+        p = tmp_path / "t.wav"
+        write_wav(p, synth_tone(620.0, 0.01, 0.7))
+        data = bytearray(p.read_bytes())
+        assert data[12:16] == b"fmt " and data[36:40] == b"data"
+        for offset, value in edits.items():
+            data[offset:offset + 4] = struct.pack("<I", value)
+        p.write_bytes(bytes(data))
+        with pytest.raises(ContractError, match=message):
+            read_wav(p)

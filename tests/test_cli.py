@@ -178,6 +178,23 @@ class TestEvalCli:
         assert captured.err.startswith(f"error: {bad}: entry name is not UTF-8")
         assert captured.out == ""
 
+    def test_eval_checkpoint_rank_above_four_fails_cleanly(self, tmp_path, capsys):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        data = bytearray((tmp_path / "run" / "ckpt_final.bin").read_bytes())
+        (cfg_len,) = struct.unpack("<I", data[8:12])
+        start = 12 + cfg_len + 36
+        (nlen,) = struct.unpack("<I", data[start:start + 4])
+        name = data[start + 4:start + 4 + nlen].decode()
+        rank_at = start + 4 + nlen
+        data[rank_at:rank_at + 4] = struct.pack("<I", 70)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: rank 70 of {name!r} is above 4")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("line,message", [
         ("warp_speed=9", "unknown config key 'warp_speed'"),
         ("loss_variant=seg+avm", "unknown loss variant 'seg+avm'"),
@@ -214,6 +231,21 @@ class TestEvalCli:
                      "--data", str(tmp_path / "d")]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+
+    def test_eval_data_with_corrupt_wav_chunk_size_fails_cleanly(self, tmp_path, capsys):
+        assert main(toy_train_args(tmp_path / "run", ["--steps", "0"])) == 0
+        assert main(["synth-data", "--out", str(tmp_path / "d"), "--scenes", "2",
+                     "--hw", "32"]) == 0
+        wav = tmp_path / "d" / "scene_00001" / "audio.wav"
+        data = bytearray(wav.read_bytes())
+        data[16:20] = struct.pack("<I", 0xFFFFFFF0)  # the size of the fmt chunk
+        wav.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt_final.bin"),
+                     "--data", str(tmp_path / "d")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "fmt" in captured.err
+        assert captured.out == ""
 
     def test_eval_data_with_grayscale_frame_fails_cleanly(self, tmp_path, capsys):
         from lightavseg.pngio import write_png

@@ -186,10 +186,12 @@ class TestSceneGeneration:
         spec = DatasetSpec(n_scenes=6, hw=33, seed=12)
         scenes = generate_dataset(spec)
         assert calls == [33] * 3
-        # each scene owns its frame: writing one leaves its pair and the cache alone
-        scenes[0].frames.data[:] = 0.0
+        # a pair's two scenes hold its one read-only frame; each pair has its own
+        assert scenes[0].frames.data is scenes[1].frames.data
+        assert not np.shares_memory(scenes[1].frames.data, scenes[2].frames.data)
+        with pytest.raises(ValueError):
+            scenes[0].frames.data[:] = 0.0
         assert scenes[1].frames.data.min() > 0.0
-        assert generate_scene(spec, 0).frames.data.min() > 0.0
 
     def test_different_seeds_differ(self):
         a = generate_scene(DatasetSpec(n_scenes=2, hw=32, seed=0), 0)

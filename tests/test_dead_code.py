@@ -22,15 +22,35 @@ def module_level_names(tree: ast.Module) -> list[str]:
     return [n for n in names if n not in EXEMPT]
 
 
+def foreign_modules(tree: ast.Module) -> set[str]:
+    """Names a file binds to modules outside the package (``np``, ``math``, ...)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names
+                      if a.name.split(".")[0] != "lightavseg"}
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] != "lightavseg"):
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
 def loaded_names() -> set[str]:
-    """Every name read as a variable or an attribute in src/, tests/ and perfbench/."""
+    """Every name read as a variable or an attribute in src/, tests/ and perfbench/.
+
+    An attribute of a module from outside the package, such as ``np.__version__``,
+    reads a name of that module, so it does not count.
+    """
     loaded = set()
     for folder in ("src", "tests", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            foreign = foreign_modules(tree)
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     loaded.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and not (
+                        isinstance(node.value, ast.Name) and node.value.id in foreign):
                     loaded.add(node.attr)
     return loaded
 

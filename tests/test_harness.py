@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from lightavseg.data import MIN_HW, generate_dataset
 from lightavseg.harness import (
-    AdamWState, TrainConfig, adamw_step, alignment_separation, config_from_file,
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamWState, TrainConfig, adamw_step, alignment_separation, config_from_file,
     config_from_mapping, config_to_flat_text, evaluate, load_checkpoint,
     model_from_checkpoint, save_checkpoint, train,
 )
@@ -53,6 +53,29 @@ class TestAdamW:
         state = AdamWState()
         adamw_step(p, {"w": np.zeros(1)}, state, cfg)
         assert p["w"].data[0] == pytest.approx(2.0 * (1 - cfg.lr * cfg.weight_decay))
+
+    def test_in_place_update_equals_the_plain_expressions(self):
+        rng = RngState(9)
+        params = {"a": parameter(rng.uniform((4, 3, 3, 3), -1, 1)),
+                  "b": parameter(rng.uniform((5,), -1, 1))}
+        ref = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        cfg = TrainConfig(lr=3e-3, weight_decay=0.01)
+        state = AdamWState()
+        for t in range(1, 201):
+            grads = {n: rng.normal(a.shape) * 10.0 ** (t % 5 - 2) for n, a in ref.items()}
+            adamw_step(params, grads, state, cfg)
+            for n, g in grads.items():
+                m[n] = m[n] * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+                v[n] = v[n] * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
+                ref[n] = ref[n] - cfg.lr * cfg.weight_decay * ref[n]
+                ref[n] = ref[n] - cfg.lr * (m[n] / (1.0 - ADAM_BETA1 ** t)) / (
+                    np.sqrt(v[n] / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
+        for n, p in params.items():
+            assert p.data.tobytes() == ref[n].tobytes()
+            assert state.m[n].tobytes() == m[n].tobytes()
+            assert state.v[n].tobytes() == v[n].tobytes()
 
     def test_nan_gradient_names_parameter(self):
         cfg = TrainConfig()

@@ -1,6 +1,7 @@
 """Tensor core: op semantics, gradients vs central differences, FLOP counters."""
 
 import contextlib
+import gc
 import struct
 import time
 import weakref
@@ -556,6 +557,128 @@ class TestKernelsMatchEinsumReference:
             m[0, 0] = 1.0
 
 
+def _padded_im2col(x, K, stride, padding, Ho, Wo):
+    """The patch matrix read from a zero-padded copy of ``x``."""
+    B, C = x.shape[:2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((C, K, K, B, Ho, Wo))
+    for ki in range(K):
+        for kj in range(K):
+            cols[:, ki, kj] = xp[:, :, ki:ki + stride * Ho:stride,
+                                 kj:kj + stride * Wo:stride].transpose(1, 0, 2, 3)
+    return cols.reshape(C * K * K, B * Ho * Wo)
+
+
+def _padded_input_grad(gcols, shape, K, stride, padding):
+    """The taps of ``gcols`` added in (ki, kj) order into a padded buffer, cropped."""
+    B, C, H, W = shape
+    Ho, Wo = gcols.shape[-2:]
+    gxp = np.zeros((C, B, H + 2 * padding, W + 2 * padding))
+    for ki in range(K):
+        for kj in range(K):
+            gxp[:, :, ki:ki + stride * Ho:stride, kj:kj + stride * Wo:stride] += \
+                gcols[:, ki, kj]
+    return np.ascontiguousarray(
+        gxp[:, :, padding:padding + H, padding:padding + W].transpose(1, 0, 2, 3))
+
+
+# strides 1-3, paddings 0-2, odd and even extents, and taps wholly in the padding
+CONV_CASES = [(stride, padding, shape, K)
+              for stride in (1, 2, 3) for padding in (0, 1, 2)
+              for shape, K in (((2, 3, 7, 6), 3), ((1, 2, 8, 5), 3), ((2, 2, 6, 7), 2),
+                               ((1, 3, 3, 4), 1), ((1, 1, 2, 2), 3))
+              if min(shape[2:]) + 2 * padding >= K]
+
+
+class TestConvWithoutPaddedCopy:
+    """The patch matrix and the input gradient equal the padded-buffer forms to the byte."""
+
+    @pytest.mark.parametrize("stride,padding,shape,K", CONV_CASES)
+    def test_matches_padded_reference(self, stride, padding, shape, K):
+        B, C, H, W = shape
+        Ho = (H + 2 * padding - K) // stride + 1
+        Wo = (W + 2 * padding - K) // stride + 1
+        rng = RngState(55)
+        x = rng.uniform(shape, -1, 1)
+        w = rng.uniform((4, C, K, K), -1, 1)
+        cols = T._im2col(x, K, stride, padding, Ho, Wo)
+        assert cols.tobytes() == _padded_im2col(x, K, stride, padding, Ho, Wo).tobytes()
+
+        out, g, grads = _run_kernel(
+            lambda *t: T.conv2d(*t, stride=stride, padding=padding),
+            (x, w, np.zeros(4)))
+        gm = T._channel_major(g)
+        gcols = (w.reshape(4, -1).T @ gm).reshape(C, K, K, B, Ho, Wo)
+        want = _padded_input_grad(gcols, shape, K, stride, padding)
+        assert grads[0].tobytes() == want.tobytes()
+
+
+def _conv_layer(*t, relu=False):
+    return T.conv2d(*t, stride=2, padding=1, relu=relu)
+
+
+class TestFusedRelu:
+    @pytest.mark.parametrize("layer,w_shape", [(_conv_layer, (4, 3, 3, 3)),
+                                               (T.pointwise_linear, (4, 3))],
+                             ids=["conv2d", "pointwise_linear"])
+    def test_equals_the_two_node_chain_to_the_byte(self, layer, w_shape):
+        rng = RngState(56)
+        arrays = (rng.uniform((2, 3, 7, 6), -1, 1), rng.uniform(w_shape, -1, 1),
+                  rng.uniform((4,), -0.5, 0.5))
+        runs = []
+        for fused in (False, True):
+            leaves = [parameter(a.copy()) for a in arrays]
+            FLOPS.reset()
+            with FLOPS.scope("layer"):
+                out = layer(*leaves, relu=True) if fused else T.relu(layer(*leaves))
+            flops = FLOPS.report()
+            nodes = len(topo_order(out))
+            # a gradient of both signs, so masked entries include -0.0
+            g = RngState(57).uniform(out.shape, -1, 1)
+            backward(T.tsum(T.mul(out, Tensor(g))))
+            runs.append((out.data.tobytes(), flops, [t.grad.tobytes() for t in leaves],
+                         nodes))
+        assert runs[0][:3] == runs[1][:3]
+        assert runs[1][3] == runs[0][3] - 1
+        assert (np.frombuffer(runs[1][0]) == 0.0).any()
+
+    def test_negative_overflow_raises_before_the_relu(self):
+        # a -inf pre-activation would read as 0 after the ReLU
+        x = Tensor(np.full((1, 1, 1, 1), 1e308))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="'pointwise_linear'"):
+            T.pointwise_linear(x, Tensor(np.array([[-10.0]])), Tensor(np.zeros(1)), relu=True)
+
+    def test_node_is_freed_without_the_cycle_collector(self):
+        # a closure that held its own node would keep node and activation alive
+        leaves = [parameter(a) for a in (RngState(58).uniform((1, 2, 5, 5), -1, 1),
+                                         RngState(59).uniform((3, 2, 3, 3), -1, 1),
+                                         np.zeros(3))]
+        gc.disable()
+        try:
+            out = _conv_layer(*leaves, relu=True)
+            activation = weakref.ref(out.data)
+            del out
+            assert activation() is None
+        finally:
+            gc.enable()
+
+    def test_default_model_step_has_no_relu_node(self):
+        from lightavseg.harness import TrainConfig
+        from lightavseg.model import SegModel
+        model = SegModel(TrainConfig().model_config(), RngState(0))
+        rng = RngState(60)
+        seg, _ = model.forward(Tensor(rng.uniform((2, 3, 64, 64), 0, 1)),
+                               Tensor(rng.uniform((2, 96, 64), -20, 0)))
+        y = Tensor((rng.uniform((2, 1, 64, 64), 0, 1) > 0.7).astype(np.float64))
+        rep = total_loss(seg.logits, seg.per_stage_features, seg.audio_states, y,
+                         lam=0.5, tau=0.1)
+        ops = [t.op for t in topo_order(rep.loss)]
+        assert "relu" not in ops
+        # the stem, a conv and a mix per visual stage, audio fc1, three decoder fuses
+        assert sum(op.endswith("_relu") for op in ops) == 13
+
+
 # FLOPS.report() of one tiny-model forward, recorded from the einsum kernels:
 # counts are written explicitly by each op, so they must not follow the kernel
 TINY_FORWARD_FLOPS = {
@@ -777,6 +900,12 @@ class TestArrayRecord:
         self.write(tmp_path / "a.bin", np.array([[1.0, -2.5, 3.0]]))
         assert (tmp_path / "a.bin").read_bytes() == (
             struct.pack("<III", 2, 1, 3) + struct.pack("<3d", 1.0, -2.5, 3.0))
+
+    def test_rank_above_four_is_refused_by_name(self, tmp_path):
+        p = tmp_path / "a.bin"
+        p.write_bytes(struct.pack("<71I", 70, *[1] * 70) + b"\0" * 8)
+        with open(p, "rb") as f, pytest.raises(ContractError, match="rank 70 of 'w'"):
+            T.read_array(f, "'w'")
 
     def test_corrupt_dims_fail_cleanly(self, tmp_path):
         p = tmp_path / "a.bin"
