@@ -7,9 +7,10 @@ concatenated and fused through a ReLU-gated pointwise map, then reweighted by
 the encoder's ``semantic_filter`` (a hard-sigmoid gate computed from the
 max-pooled visual feature). The result is mapped and injected into the visual
 feature by the encoder's ``agve_step``, as a broadcast channel bias. Features then
-merge FPN-style: bilinear x2 upsample, channel-aligning pointwise map, add.
-The shallowest stage merges in visually (no injection), and a pointwise head
-plus a final bilinear resize produce logits at the input resolution.
+merge FPN-style: bilinear x2 upsample, channel-aligning pointwise map, add,
+as one ``upsample_merge`` node that keeps no upsampled map. The shallowest
+stage merges in visually (no injection), and a pointwise head plus a final
+bilinear resize produce logits at the input resolution.
 
 The recurrence starts from the deepest encoder audio state.
 """
@@ -22,7 +23,7 @@ from .backbones import AudioState
 from .encoder import EncoderOutput, agve_step, semantic_filter
 from .layers import Linear1x1
 from .tensor import (
-    FLOPS, RngState, Tensor, add, bilinear_upsample, concat_channels, section,
+    FLOPS, RngState, Tensor, bilinear_upsample, concat_channels, section, upsample_merge,
 )
 
 INTERACT_STAGES = 3  # deepest stages with audio recurrence and alignment supervision
@@ -113,8 +114,8 @@ class FusionDecoder:
                 if merged is None:
                     merged = injected
                 else:
-                    up = bilinear_upsample(merged, v.shape[2], v.shape[3])
-                    merged = add(self.align[i + 1](up), injected)
+                    align = self.align[i + 1]
+                    merged = upsample_merge(merged, align.weight, align.bias, injected)
         with section("seg_head"):
             logits = bilinear_upsample(self.head(merged), *out_hw)
         return SegOutput(logits=logits, per_stage_features=feats, audio_states=hats)

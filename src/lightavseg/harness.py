@@ -146,8 +146,11 @@ def config_from_text(text: str, overrides: dict | None = None) -> TrainConfig:
 
 
 def config_from_file(path, overrides: dict | None = None) -> TrainConfig:
-    return config_from_text(_utf8(Path(path).read_bytes(), f"config file {path}"),
-                            overrides)
+    text = _utf8(Path(path).read_bytes(), f"config file {path}")
+    try:
+        return config_from_text(text, overrides)
+    except DimensionError as e:  # a malformed file is a ContractError, as a checkpoint's is
+        raise ContractError(f"config file {path}: {e}") from None
 
 
 def config_to_flat_text(cfg: TrainConfig) -> str:
@@ -273,6 +276,8 @@ def load_checkpoint(path) -> Checkpoint:
             (nlen,) = _unpack(f, "<I", "entry name length")
             name = _utf8(_read_exact(f, nlen, "entry name"), f"{path}: entry name")
             arr = read_array(f, repr(name))
+            if not np.isfinite(arr).all():  # training never writes one
+                raise ContractError(f"{path}: non-finite value in {name!r}")
             if name.startswith("adam.m/"):
                 adam_m[name[len("adam.m/"):]] = arr
             elif name.startswith("adam.v/"):

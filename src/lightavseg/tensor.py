@@ -14,9 +14,16 @@ Non-finite values raise immediately, so NaN/Inf never propagate silently.
 ``conv2d`` and ``pointwise_linear`` take ``relu=True`` to apply a ReLU within
 their own node, which then holds one activation array instead of two nodes'
 two; values, gradients and FLOP counts equal the two-node chain bit for bit.
+``upsample_merge`` is likewise one node for a resize, channel map and add.
 ``conv2d`` builds its patch matrix and scatters its input gradient without a
 zero-padded copy of the input: only the border strips that read padding are
 zeroed.
+
+Memory rule for backward closures: keep only what backward reads, and free
+each full-size temporary before the next one is allocated. ``backward`` holds
+no node while its closure runs, a fused ReLU lets go of its activation once
+the mask is read, and each closure drops an array (``del``) or computes a
+gradient before it allocates the next large one.
 
 FLOP accounting convention (forward pass only):
   * ``madds``  -- multiply-accumulate counts. Channel maps (``pointwise_linear``)
@@ -386,6 +393,8 @@ def backward(loss: Tensor):
     and, once its closure has run, keeps no grad, no parents and a closure that
     raises ContractError. A second backward through any consumed node (the same
     loss, or a new graph built on top of it) raises before any grad is written.
+    The walk lets go of each node before calling its closure, so a node that
+    nothing else holds is freed first, with any array only the node held.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -400,6 +409,7 @@ def backward(loss: Tensor):
             continue  # a leaf keeps its grad
         g = t.grad
         t.grad, t._backward, t._parents = None, _consumed, ()
+        del t  # a node nothing else holds goes before its closure allocates
         if g is not None:
             bw(g)
 
@@ -516,9 +526,10 @@ def _relu_result(out: np.ndarray, op: str, parents, bw) -> Tensor:
     _check_finite(out, op)  # after the ReLU, a -inf would read as 0
     np.maximum(out, 0.0, out=out)
     FLOPS.add(elems=out.size)
+    held = [out]  # popped once the mask is read, ahead of the op's own backward
 
     def relu_bw(g):
-        np.multiply(g, out > 0.0, out=g)
+        np.multiply(g, held.pop() > 0.0, out=g)
         bw(g)
 
     return _result(out, op + "_relu", parents, relu_bw)
@@ -695,14 +706,7 @@ def pointwise_linear(x, weight, bias, relu: bool = False) -> Tensor:
     same node (see ``_relu_result``).
     """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
-    if x.ndim != 4:
-        raise DimensionError(f"pointwise_linear input must be 4D, got {x.shape}")
-    if weight.ndim != 2 or weight.shape[1] != x.shape[1]:
-        raise DimensionError(
-            f"pointwise_linear weight {weight.shape} does not match input {x.shape}")
-    if bias.shape != (weight.shape[0],):
-        raise DimensionError(
-            f"pointwise_linear bias {bias.shape} does not match weight {weight.shape}")
+    _check_channel_map("pointwise_linear", x, weight, bias)
     B, C, H, W = x.shape
     Co = weight.shape[0]
     xf = x.data.reshape(B, C, H * W)
@@ -712,15 +716,35 @@ def pointwise_linear(x, weight, bias, relu: bool = False) -> Tensor:
 
     def bw(g):
         gf = g.reshape(B, Co, H * W)
+        _channel_map_grads(weight, bias, gf, lambda: _channel_major(xf))
         if x.requires_grad:
             _accum(x, (weight.data.T @ gf).reshape(B, C, H, W), own=True)
-        if weight.requires_grad:
-            # channel-major (C, B*H*W) views turn the batch sum into one GEMM
-            _accum(weight, _channel_major(gf) @ _channel_major(xf).T, own=True)
-        _accum(bias, gf.sum(axis=(0, 2)), own=True)
 
     out = out.reshape(B, Co, H, W)
     return (_relu_result if relu else _result)(out, "pointwise_linear", (x, weight, bias), bw)
+
+
+def _check_channel_map(op: str, x: Tensor, weight: Tensor, bias: Tensor):
+    """Shapes of a per-position channel map of the 4D ``x``."""
+    if x.ndim != 4:
+        raise DimensionError(f"{op} input must be 4D, got {x.shape}")
+    if weight.ndim != 2 or weight.shape[1] != x.shape[1]:
+        raise DimensionError(f"{op} weight {weight.shape} does not match input {x.shape}")
+    if bias.shape != (weight.shape[0],):
+        raise DimensionError(f"{op} bias {bias.shape} does not match weight {weight.shape}")
+
+
+def _channel_map_grads(weight: Tensor, bias: Tensor, gf: np.ndarray, input_cm):
+    """Weight and bias gradients of a channel map whose output gradient is ``gf``.
+
+    ``gf`` is (B, C_out, N); ``input_cm()`` gives the map's input as a
+    channel-major (C_in, B*N) array, built only if the weight needs it and
+    freed before this returns, ahead of the caller's input gradient.
+    """
+    if weight.requires_grad:
+        # channel-major (C, B*N) arrays turn the batch sum into one GEMM
+        _accum(weight, _channel_major(gf) @ input_cm().T, own=True)
+    _accum(bias, gf.sum(axis=(0, 2)), own=True)
 
 
 def _channel_major(a: np.ndarray) -> np.ndarray:
@@ -816,10 +840,14 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0,
             # rebuilt, not kept from forward: no patch matrix outlives its op's forward
             cols = _im2col(x.data, K, stride, padding, Ho, Wo)
             _accum(weight, (gm @ cols.T).reshape(weight.data.shape), own=True)
+            del cols  # before the input gradient's arrays of the same size
         _accum(bias, gm.sum(axis=1), own=True)
         if x.requires_grad:
             gcols = (wm.T @ gm).reshape(C, K, K, B, Ho, Wo)
-            gx = np.zeros((B, C, H, W))
+            # stored channel-major for a convolution below, whose backward
+            # then reads it as its ``gm`` without a copy
+            gx = (np.zeros((C, B, H, W)).transpose(1, 0, 2, 3) if x.op.startswith("conv2d")
+                  else np.zeros((B, C, H, W)))
             gxc = gx.transpose(1, 0, 2, 3)
             # each tap's in-bounds part, added in (ki, kj) order; what falls
             # on the padding is not a gradient of x
@@ -918,26 +946,68 @@ def _interp_matrix(dst: int, src: int) -> np.ndarray:
     return m
 
 
+def _resize_matrices(op: str, x: Tensor, H: int, W: int):
+    """Row and column interpolation matrices of a bilinear resize of ``x`` to (H, W)."""
+    if x.ndim != 4:
+        raise DimensionError(f"{op} needs a 4D input, got {x.shape}")
+    h, w = x.shape[2:]
+    if H < 1 or W < 1:
+        raise DimensionError(f"{op} target extent must be positive, got {H}x{W}")
+    if H < h or W < w:
+        raise DimensionError(f"{op} target {H}x{W} smaller than source {h}x{w}")
+    return _interp_matrix(H, h), _interp_matrix(W, w)
+
+
 def bilinear_upsample(x, H: int, W: int) -> Tensor:
     """Bilinear resize to (H, W) >= source extents, half-pixel centers."""
     x = _coerce(x)
-    if x.ndim != 4:
-        raise DimensionError(f"bilinear_upsample needs a 4D input, got {x.shape}")
-    B, C, h, w = x.shape
-    if H < 1 or W < 1:
-        raise DimensionError(f"bilinear_upsample target extent must be positive, got {H}x{W}")
-    if H < h or W < w:
-        raise DimensionError(
-            f"bilinear_upsample target {H}x{W} smaller than source {h}x{w}")
-    my = _interp_matrix(H, h)
-    mx = _interp_matrix(W, w)
+    my, mx = _resize_matrices("bilinear_upsample", x, H, W)
     out = (my @ x.data) @ mx.T
-    FLOPS.add(elems=4 * B * C * H * W)
+    FLOPS.add(elems=4 * out.size)
 
     def bw(g):
         _accum(x, my.T @ (g @ mx), own=True)
 
     return _result(out, "bilinear_upsample", (x,), bw)
+
+
+def upsample_merge(x, weight, bias, skip) -> Tensor:
+    """One top-down merge: resize ``x`` to ``skip``'s extents, map its channels, add ``skip``.
+
+    Equals ``add(pointwise_linear(bilinear_upsample(x, H, W), weight, bias),
+    skip)`` bit for bit in value, in every gradient and in the FLOPs it
+    records, as one node that keeps no upsampled map. Backward rebuilds that
+    map, channel-major, for the weight gradient and frees it before the input
+    gradient is made; the node's own gradient goes to ``skip`` last.
+    """
+    x, weight, bias, skip = _coerce(x), _coerce(weight), _coerce(bias), _coerce(skip)
+    _check_channel_map("upsample_merge", x, weight, bias)
+    B, C = x.shape[:2]
+    Co = weight.shape[0]
+    if skip.ndim != 4 or skip.shape[:2] != (B, Co):
+        raise DimensionError(
+            f"upsample_merge skip {skip.shape} does not match input {x.shape} "
+            f"mapped to {Co} channels")
+    H, W = skip.shape[2:]
+    my, mx = _resize_matrices("upsample_merge", x, H, W)
+    out = weight.data @ ((my @ x.data) @ mx.T).reshape(B, C, H * W)
+    out += bias.data[:, None]
+    out = out.reshape(B, Co, H, W)
+    out += skip.data
+    # the resize, the channel map and the add
+    FLOPS.add(madds=B * Co * C * H * W, elems=4 * B * C * H * W + 2 * out.size)
+
+    def bw(g):
+        gf = g.reshape(B, Co, H * W)
+        # (my @ x_c) @ mx.T per channel-major (c, b) matrix: the forward's map
+        _channel_map_grads(weight, bias, gf, lambda: (
+            (my @ x.data.transpose(1, 0, 2, 3)) @ mx.T).reshape(C, B * H * W))
+        if x.requires_grad:
+            gx = (weight.data.T @ gf).reshape(B, C, H, W) @ mx
+            _accum(x, my.T @ gx, own=True)
+        _accum(skip, g, own=True)
+
+    return _result(out, "upsample_merge", (x, weight, bias, skip), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,22 @@ class TestEvalCli:
         assert captured.err.startswith(f"error: {bad}: rank 70 of {name!r} is above 4")
         assert captured.out == ""
 
+    def test_eval_checkpoint_with_a_nan_parameter_fails_cleanly(self, tmp_path, capsys):
+        from lightavseg.harness import AdamWState, load_checkpoint, save_checkpoint
+        from lightavseg.tensor import parameter
+        assert main(toy_train_args(tmp_path / "run")) == 0
+        ckpt = load_checkpoint(tmp_path / "run" / "ckpt_final.bin")
+        params = {n: parameter(a) for n, a in ckpt.params.items()}
+        params["decoder.head.bias"].data[0] = np.nan  # past parameter()'s finite check
+        bad = tmp_path / "bad.bin"
+        save_checkpoint(bad, ckpt.config, params,
+                        AdamWState(ckpt.adam_m, ckpt.adam_v, ckpt.adam_t), ckpt.rng, ckpt.step)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: non-finite value in 'decoder.head.bias'")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("line,message", [
         ("warp_speed=9", "unknown config key 'warp_speed'"),
         ("loss_variant=seg+avm", "unknown loss variant 'seg+avm'"),

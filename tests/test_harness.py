@@ -86,6 +86,12 @@ class TestAdamW:
 
 
 class TestConfig:
+    def test_three_stage_widths_in_a_file_are_a_contract_error(self, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("stage_channels=16,32,64\n")
+        with pytest.raises(ContractError, match=f"config file {p}: stage_channels has 3"):
+            config_from_file(p)
+
     def test_defaults_match_stated_values(self):
         cfg = TrainConfig()
         assert cfg.lr == 1e-4 and cfg.batch_size == 8
@@ -256,6 +262,24 @@ class TestCheckpoint:
             os.truncate(path, n)
             with pytest.raises(ContractError):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["a.bias", "adam.m/a.weight", "adam.v/b"])
+    def test_non_finite_entry_is_refused_by_name(self, tmp_path, entry, value):
+        rng = RngState(5)
+        params = {"a.weight": parameter(rng.uniform((2, 3), -1, 1)),
+                  "a.bias": parameter(rng.uniform((2,), -1, 1)),
+                  "b": parameter(rng.uniform((), -1, 1))}
+        state = AdamWState(m={n: p.data * 0.5 for n, p in params.items()},
+                           v={n: p.data ** 2 for n, p in params.items()}, t=3)
+        kind, _, name = entry.rpartition("/")
+        arrays = {"": {n: p.data for n, p in params.items()},
+                  "adam.m": state.m, "adam.v": state.v}[kind]
+        arrays[name].reshape(-1)[-1] = value
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, TrainConfig(), params, state, RngState(1, 2), 3)
+        with pytest.raises(ContractError, match=f"{path}: non-finite value in '{entry}'"):
+            load_checkpoint(path)
 
     @settings(max_examples=40, deadline=None)
     @given(values=st.fixed_dictionaries(TestConfig.FIELD_VALUES),

@@ -613,6 +613,32 @@ class TestConvWithoutPaddedCopy:
         assert grads[0].tobytes() == want.tobytes()
 
 
+    def test_conv_over_conv_gradient_is_read_without_a_copy(self, monkeypatch):
+        # a conv2d parent receives its input gradient channel-major; any other
+        # parent (here a mul between the two) the usual layout, to the same bytes
+        seen = []
+
+        def spy(a):
+            out = real(a)
+            seen.append(np.shares_memory(out, a))
+            return out
+
+        real = T._channel_major
+        monkeypatch.setattr(T, "_channel_major", spy)
+        rng = RngState(68)
+        arrays = (rng.uniform((2, 3, 9, 8), -1, 1), rng.uniform((4, 3, 3, 3), -1, 1),
+                  rng.uniform((4,), -1, 1), rng.uniform((5, 4, 3, 3), -1, 1), np.zeros(5))
+        runs = []
+        for between in (lambda t: t, lambda t: T.mul(t, 1.0)):
+            leaves = [parameter(a) for a in arrays]
+            seen.clear()
+            low = _conv_layer(*leaves[:3], relu=True)
+            backward(T.tsum(T.mul(_conv_layer(between(low), *leaves[3:]), 0.5)))
+            runs.append((seen[:], [t.grad.tobytes() for t in leaves]))
+        assert runs[0][0] == [False, True] and runs[1][0] == [False, False]
+        assert runs[0][1] == runs[1][1]
+
+
 def _conv_layer(*t, relu=False):
     return T.conv2d(*t, stride=2, padding=1, relu=relu)
 
@@ -663,20 +689,145 @@ class TestFusedRelu:
         finally:
             gc.enable()
 
+    def test_activation_is_freed_before_the_op_backward(self, monkeypatch):
+        # once the mask is read, nothing holds an activation whose node is gone
+        seen = []
+        real = T._im2col
+        leaves = [parameter(a) for a in (RngState(69).uniform((1, 2, 5, 5), -1, 1),
+                                         RngState(70).uniform((3, 2, 3, 3), -1, 1),
+                                         np.zeros(3))]
+        gc.disable()
+        try:
+            out = _conv_layer(*leaves, relu=True)
+            activation = weakref.ref(out.data)
+            loss = T.tsum(T.mul(out, 2.0))
+            del out
+            monkeypatch.setattr(T, "_im2col",
+                                lambda *a: (seen.append(activation()), real(*a))[1])
+            backward(loss)
+        finally:
+            gc.enable()
+        assert seen == [None]  # the weight gradient's rebuilt patch matrix
+
     def test_default_model_step_has_no_relu_node(self):
-        from lightavseg.harness import TrainConfig
-        from lightavseg.model import SegModel
-        model = SegModel(TrainConfig().model_config(), RngState(0))
-        rng = RngState(60)
-        seg, _ = model.forward(Tensor(rng.uniform((2, 3, 64, 64), 0, 1)),
-                               Tensor(rng.uniform((2, 96, 64), -20, 0)))
-        y = Tensor((rng.uniform((2, 1, 64, 64), 0, 1) > 0.7).astype(np.float64))
-        rep = total_loss(seg.logits, seg.per_stage_features, seg.audio_states, y,
-                         lam=0.5, tau=0.1)
-        ops = [t.op for t in topo_order(rep.loss)]
+        ops = _default_model_step_ops()
         assert "relu" not in ops
         # the stem, a conv and a mix per visual stage, audio fc1, three decoder fuses
         assert sum(op.endswith("_relu") for op in ops) == 13
+
+
+def _default_model_step_ops() -> list:
+    """The op of every node in one default-model training step's loss graph."""
+    from lightavseg.harness import TrainConfig
+    from lightavseg.model import SegModel
+    model = SegModel(TrainConfig().model_config(), RngState(0))
+    rng = RngState(60)
+    seg, _ = model.forward(Tensor(rng.uniform((2, 3, 64, 64), 0, 1)),
+                           Tensor(rng.uniform((2, 96, 64), -20, 0)))
+    y = Tensor((rng.uniform((2, 1, 64, 64), 0, 1) > 0.7).astype(np.float64))
+    rep = total_loss(seg.logits, seg.per_stage_features, seg.audio_states, y,
+                     lam=0.5, tau=0.1)
+    return [t.op for t in topo_order(rep.loss)]
+
+
+def _merge_chain(x, weight, bias, skip):
+    up = T.bilinear_upsample(x, *skip.shape[2:])
+    return T.add(T.pointwise_linear(up, weight, bias), skip)
+
+
+class _Tracked(np.ndarray):
+    """An array subclass that notes the size of, and a weak reference to, every array made from it."""
+
+    made: list = []
+
+    def __array_finalize__(self, obj):
+        _Tracked.made.append((self.size, weakref.ref(self)))
+
+
+class TestUpsampleMerge:
+    # (x shape, skip shape): x2 as in the decoder, uneven ratios, and no resize
+    SHAPES = [((2, 3, 4, 5), (2, 4, 8, 10)), ((1, 2, 3, 3), (1, 3, 7, 5)),
+              ((2, 3, 4, 4), (2, 2, 4, 4))]
+
+    @pytest.mark.parametrize("x_shape,skip_shape", SHAPES)
+    def test_equals_the_three_node_chain_to_the_byte(self, x_shape, skip_shape):
+        rng = RngState(61)
+        arrays = (rng.uniform(x_shape, -1, 1),
+                  rng.uniform((skip_shape[1], x_shape[1]), -1, 1),
+                  rng.uniform((skip_shape[1],), -0.5, 0.5), rng.uniform(skip_shape, -1, 1))
+        g_out, g_skip, g_x = (RngState(62).uniform(skip_shape, -1, 1),
+                              RngState(63).uniform(skip_shape, -1, 1),
+                              RngState(64).uniform(x_shape, -1, 1))
+        runs = []
+        for merge in (_merge_chain, T.upsample_merge):
+            leaves = [parameter(a.copy()) for a in arrays]
+            # x and skip are graph nodes that a second consumer also reads, as
+            # the decoder's injected features are read again by the alignment loss
+            x, skip = T.mul(leaves[0], 1.5), T.mul(leaves[3], 0.5)
+            FLOPS.reset()
+            with FLOPS.scope("merge"):
+                out = merge(x, leaves[1], leaves[2], skip)
+            flops = FLOPS.report()
+            nodes = len(topo_order(out))
+            loss = T.tsum(T.mul(out, Tensor(g_out)))
+            for t, g in ((skip, g_skip), (x, g_x)):
+                loss = T.add(loss, T.tsum(T.mul(t, Tensor(g))))
+            backward(loss)
+            runs.append((out.data.tobytes(), flops, [t.grad.tobytes() for t in leaves],
+                         nodes))
+        assert runs[0][:3] == runs[1][:3]
+        assert runs[1][3] == runs[0][3] - 2
+
+    def test_gradients_are_owned_and_not_aliased(self):
+        rng = RngState(71)
+        leaves = [parameter(rng.uniform(s, -1, 1)) for s in ((2, 3, 4, 4), (2, 3), (2,),
+                                                             (2, 2, 8, 8))]
+        backward(T.tsum(T.upsample_merge(*leaves)))
+        np.testing.assert_array_equal(leaves[3].grad, 1.0)
+        for i, p in enumerate(leaves):
+            assert p.grad.flags.writeable
+            for q in leaves[i + 1:]:
+                assert not np.may_share_memory(p.grad, q.grad)
+
+    def test_shapes_are_checked(self):
+        x, w, b = rand((1, 3, 4, 4)), rand((2, 3)), rand((2,))
+        for args in ((x, w, b, rand((1, 3, 8, 8))),    # skip width is not the map's
+                     (x, w, b, rand((2, 2, 8, 8))),    # batch differs
+                     (x, w, b, rand((1, 2, 2, 8))),    # a downscale
+                     (x, rand((2, 4)), b, rand((1, 2, 8, 8))),
+                     (x, w, rand((3,)), rand((1, 2, 8, 8)))):
+            with pytest.raises(DimensionError):
+                T.upsample_merge(*args)
+
+    def test_no_upsampled_map_outlives_forward_or_backward(self):
+        # arrays computed from x's data are _Tracked, the upsampled map among them
+        leaves = [parameter(a) for a in (RngState(65).uniform((2, 3, 4, 5), -1, 1),
+                                         RngState(66).uniform((4, 3), -1, 1), np.zeros(4),
+                                         RngState(67).uniform((2, 4, 8, 10), -1, 1))]
+        leaves[0].data = leaves[0].data.view(_Tracked)
+        map_size = 2 * 3 * 8 * 10
+
+        def maps_made(step):
+            _Tracked.made.clear()
+            step()
+            maps = [ref for size, ref in _Tracked.made if size == map_size]
+            assert maps and all(ref() is None for ref in maps)
+
+        gc.disable()
+        try:
+            out = []
+            maps_made(lambda: out.append(T.upsample_merge(*leaves)))
+            output = weakref.ref(out[0].data)
+            maps_made(lambda: backward(T.tsum(out.pop())))
+            assert output() is None
+        finally:
+            gc.enable()
+
+    def test_default_model_step_merges_in_three_nodes(self):
+        ops = _default_model_step_ops()
+        assert ops.count("upsample_merge") == 3
+        assert ops.count("bilinear_upsample") == 1  # the logits resize only
+        assert len(ops) == 170
 
 
 # FLOPS.report() of one tiny-model forward, recorded from the einsum kernels:
