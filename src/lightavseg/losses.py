@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    FLOPS, ContractError, DimensionError, Tensor, _accum, _interp_matrix, _result,
-    _sigmoid_data, add, mul, no_grad,
+    FLOPS, ContractError, DimensionError, Tensor, _accum, _resize, _resize_adjoint,
+    _resize_matrices, _result, _sigmoid_data, add, mul, no_grad,
 )
 
 PROB_EPS = 1e-7
@@ -154,10 +154,11 @@ def cosine_scores(feature: Tensor, audio: Tensor, tau: float) -> Tensor:
 
     With v = f / (||f|| + eps) and b = a / (||a|| + eps) (norms over
     channels, eps = COSINE_EPS), the score is sigmoid(sum_c v b / tau). The
-    forward runs the op chain's own expressions (l2_normalize twice, mul, sum,
-    mul by 1/tau, sigmoid), so its values and FLOPs are that chain's. The
-    backward is closed-form for both inputs; where a norm is 0 it passes no
-    gradient through that norm, as the chain's sqrt does.
+    forward runs the expressions of the op chain it replaced (l2_normalize
+    twice, mul, sum, mul by 1/tau, sigmoid; kept in ``tests/chain_ops.py``),
+    so its values and FLOPs are that chain's. The backward is closed-form for
+    both inputs; where a norm is 0 it passes no gradient through that norm,
+    as the chain's sqrt does.
     """
     x, a = feature.data, audio.data
     if x.ndim != 4 or a.shape != (*x.shape[:2], 1, 1):
@@ -236,9 +237,9 @@ def msa_loss(scores: list, mask: Tensor):
     lo, hi = PROB_EPS, 1.0 - PROB_EPS
     interp = []
     for s in scores:
-        if s.ndim != 4 or s.shape[:2] != (B, C) or s.shape[2] > H or s.shape[3] > W:
+        if s.shape[:2] != (B, C):
             raise DimensionError(f"msa_loss: scores {s.shape} do not upsample to mask {m.shape}")
-        interp.append((_interp_matrix(H, s.shape[2]), _interp_matrix(W, s.shape[3])))
+        interp.append(_resize_matrices("msa_loss", s, H, W))
 
     def one_log_arg(up):
         """q from the upsampled scores, in place."""
@@ -248,7 +249,7 @@ def msa_loss(scores: list, mask: Tensor):
 
     per_scale = []
     for s, (my, mx) in zip(scores, interp):
-        q = one_log_arg((my @ s.data) @ mx.T)
+        q = one_log_arg(_resize(my, mx, s.data))
         np.log(q, out=q)
         per_scale.append(-(q.sum() * (1.0 / n)))
     total = per_scale[0]
@@ -264,14 +265,14 @@ def msa_loss(scores: list, mask: Tensor):
         for s, (my, mx) in zip(scores, interp):
             if not s.requires_grad:
                 continue
-            up = (my @ s.data) @ mx.T
+            up = _resize(my, mx, s.data)
             band = up <= lo
             band |= up >= hi
             q = one_log_arg(up)
             np.divide(sign, q, out=q)
             q *= g_scale
             np.copyto(q, 0.0, where=band)
-            _accum(s, my.T @ (q @ mx), own=True)
+            _accum(s, _resize_adjoint(my, mx, q), own=True)
 
     return _result(out, "msa_loss", tuple(scores), bw), per_scale
 

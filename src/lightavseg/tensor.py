@@ -11,10 +11,13 @@ gradient to ``_accum``, which stores an array the op has just created as is
 and copies anything that may be a view or may be handed to a second parent.
 Non-finite values raise immediately, so NaN/Inf never propagate silently.
 
-``conv2d`` and ``pointwise_linear`` take ``relu=True`` to apply a ReLU within
-their own node, which then holds one activation array instead of two nodes'
-two; values, gradients and FLOP counts equal the two-node chain bit for bit.
-``upsample_merge`` is likewise one node for a resize, channel map and add.
+The module holds the ops the model runs, and ``gradsuite`` checks each of
+them. ``conv2d`` and ``pointwise_linear`` take ``relu=True`` to apply a ReLU
+within their own node, which then holds one activation array instead of two
+nodes' two; values, gradients and FLOP counts equal the two-node chain bit for
+bit. ``upsample_merge`` is likewise one node for a resize, channel map and
+add, and the losses are one node each. The op chains these fused ops replaced
+are kept in ``tests/chain_ops.py`` as the tests' references.
 ``conv2d`` builds its patch matrix and scatters its input gradient without a
 zero-padded copy of the input: only the border strips that read padding are
 zeroed.
@@ -430,18 +433,6 @@ def add(a, b) -> Tensor:
     return _result(out, "add", (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    out = a.data - b.data
-    FLOPS.add(elems=out.size)
-
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape), own=True)
-
-    return _result(out, "sub", (a, b), bw)
-
-
 def mul(a, b) -> Tensor:
     """Elementwise (broadcasting) product."""
     a, b = _coerce(a), _coerce(b)
@@ -453,18 +444,6 @@ def mul(a, b) -> Tensor:
         _accum(b, _unbroadcast(g * a.data, b.data.shape), own=True)
 
     return _result(out, "mul", (a, b), bw)
-
-
-def div(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    out = a.data / b.data
-    FLOPS.add(elems=out.size)
-
-    def bw(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape), own=True)
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), own=True)
-
-    return _result(out, "div", (a, b), bw)
 
 
 def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -502,24 +481,14 @@ def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
 # Activations
 # ---------------------------------------------------------------------------
 
-def relu(x) -> Tensor:
-    x = _coerce(x)
-    out = np.maximum(x.data, 0.0)
-    FLOPS.add(elems=out.size)
-
-    def bw(g):
-        _accum(x, g * (x.data > 0.0), own=True)
-
-    return _result(out, "relu", (x,), bw)
-
-
 def _relu_result(out: np.ndarray, op: str, parents, bw) -> Tensor:
     """Producer ``op``'s node with a ReLU applied in place to its fresh ``out``.
 
     The producer and its ReLU are one graph node that holds one array, and
     ``bw`` runs after the ReLU's gradient mask. Values, gradients and FLOP
-    counts equal those of ``relu`` on the producer's node bit for bit: the
-    mask is read from the activation, positive exactly where the
+    counts equal those of a separate ReLU node on the producer's node bit for
+    bit (``tests/chain_ops.py`` keeps that two-node chain as the reference):
+    the mask is read from the activation, positive exactly where the
     pre-activation was, and multiplies the gradient in place, because the
     gradient ``backward`` hands a closure is the node's own array.
     """
@@ -566,64 +535,6 @@ def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x) -> Tensor:
-    x = _coerce(x)
-    out = _sigmoid_data(x.data)
-    FLOPS.add(elems=out.size)
-
-    def bw(g):
-        _accum(x, g * out * (1.0 - out), own=True)
-
-    return _result(out, "sigmoid", (x,), bw)
-
-
-def softplus(x) -> Tensor:
-    """log(1+exp(x)) in the overflow-stable branch form."""
-    x = _coerce(x)
-    out = np.logaddexp(0.0, x.data)
-    FLOPS.add(elems=out.size)
-
-    def bw(g):
-        _accum(x, g * _sigmoid_data(x.data), own=True)
-
-    return _result(out, "softplus", (x,), bw)
-
-
-def tlog(x) -> Tensor:
-    x = _coerce(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)  # log(<=0) trips the finite check with a clear op name
-    FLOPS.add(elems=out.size)
-
-    def bw(g):
-        _accum(x, g / x.data, own=True)
-
-    return _result(out, "log", (x,), bw)
-
-
-def tsqrt(x) -> Tensor:
-    x = _coerce(x)
-    out = np.sqrt(x.data)
-    FLOPS.add(elems=out.size)
-
-    def bw(g):
-        safe = np.where(out > 0.0, out, 1.0)
-        _accum(x, np.where(out > 0.0, g / (2.0 * safe), 0.0), own=True)
-
-    return _result(out, "sqrt", (x,), bw)
-
-
-def clamp(x, lo: float, hi: float) -> Tensor:
-    x = _coerce(x)
-    out = np.clip(x.data, lo, hi)
-    FLOPS.add(elems=out.size)
-
-    def bw(g):
-        _accum(x, g * ((x.data > lo) & (x.data < hi)), own=True)
-
-    return _result(out, "clamp", (x,), bw)
-
-
 def softmax(x, axis: int = -1) -> Tensor:
     x = _coerce(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -663,35 +574,21 @@ def transpose(x, axes) -> Tensor:
     return _result(out, "transpose", (x,), bw)
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
-    base = tensors[0]
-    for t in tensors[1:]:
-        if t.ndim != base.ndim or any(
-                i != axis and t.shape[i] != base.shape[i] for i in range(t.ndim)):
-            raise DimensionError(
-                f"concat shapes incompatible on axis {axis}: "
-                f"{[t.shape for t in tensors]}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
-
-    return _result(out, "concat", tuple(tensors), bw)
-
-
 def concat_channels(a, b) -> Tensor:
     """Channel-wise concatenation of two NCHW tensors."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim != 4 or b.ndim != 4:
+    if a.ndim != 4 or b.ndim != 4 or a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise DimensionError(
-            f"concat_channels needs 4D inputs, got {a.shape} and {b.shape}")
-    return concat([a, b], axis=1)
+            f"concat_channels needs 4D inputs that differ only in channels, "
+            f"got {a.shape} and {b.shape}")
+    out = np.concatenate((a.data, b.data), axis=1)
+    C = a.shape[1]
+
+    def bw(g):
+        _accum(a, g[:, :C])
+        _accum(b, g[:, C:])
+
+    return _result(out, "concat_channels", (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -920,14 +817,6 @@ def broadcast_add(x, g) -> Tensor:
     return _result(out, "broadcast_add", (x, g), bw)
 
 
-def l2_normalize(x, axis: int, eps: float = 1e-6) -> Tensor:
-    """x / (||x||_2 + eps) with the norm taken along ``axis``."""
-    x = _coerce(x)
-    sq = mul(x, x)
-    norm = tsqrt(tsum(sq, axis=axis, keepdims=True))
-    return div(x, add(norm, eps))
-
-
 @functools.lru_cache(maxsize=64)
 def _interp_matrix(dst: int, src: int) -> np.ndarray:
     """Row-stochastic bilinear weight matrix, half-pixel-center convention.
@@ -958,15 +847,26 @@ def _resize_matrices(op: str, x: Tensor, H: int, W: int):
     return _interp_matrix(H, h), _interp_matrix(W, w)
 
 
+def _resize(my: np.ndarray, mx: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Every trailing (h, w) plane of ``a`` resized by ``_resize_matrices``' pair."""
+    return (my @ a) @ mx.T
+
+
+def _resize_adjoint(my: np.ndarray, mx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``_resize``'s adjoint: the gradient of a resized map taken back to its source."""
+    g = g @ mx  # frees a full-size temporary the caller passed in
+    return my.T @ g
+
+
 def bilinear_upsample(x, H: int, W: int) -> Tensor:
     """Bilinear resize to (H, W) >= source extents, half-pixel centers."""
     x = _coerce(x)
     my, mx = _resize_matrices("bilinear_upsample", x, H, W)
-    out = (my @ x.data) @ mx.T
+    out = _resize(my, mx, x.data)
     FLOPS.add(elems=4 * out.size)
 
     def bw(g):
-        _accum(x, my.T @ (g @ mx), own=True)
+        _accum(x, _resize_adjoint(my, mx, g), own=True)
 
     return _result(out, "bilinear_upsample", (x,), bw)
 
@@ -974,11 +874,12 @@ def bilinear_upsample(x, H: int, W: int) -> Tensor:
 def upsample_merge(x, weight, bias, skip) -> Tensor:
     """One top-down merge: resize ``x`` to ``skip``'s extents, map its channels, add ``skip``.
 
-    Equals ``add(pointwise_linear(bilinear_upsample(x, H, W), weight, bias),
-    skip)`` bit for bit in value, in every gradient and in the FLOPs it
-    records, as one node that keeps no upsampled map. Backward rebuilds that
-    map, channel-major, for the weight gradient and frees it before the input
-    gradient is made; the node's own gradient goes to ``skip`` last.
+    Equals the chain ``add(pointwise_linear(bilinear_upsample(x, H, W), weight,
+    bias), skip)`` (``tests/chain_ops.py``) bit for bit in value, in every
+    gradient and in the FLOPs it records, as one node that keeps no upsampled
+    map. Backward rebuilds that map, channel-major, for the weight gradient and
+    frees it before the input gradient is made; the node's own gradient goes
+    to ``skip`` last.
     """
     x, weight, bias, skip = _coerce(x), _coerce(weight), _coerce(bias), _coerce(skip)
     _check_channel_map("upsample_merge", x, weight, bias)
@@ -990,7 +891,7 @@ def upsample_merge(x, weight, bias, skip) -> Tensor:
             f"mapped to {Co} channels")
     H, W = skip.shape[2:]
     my, mx = _resize_matrices("upsample_merge", x, H, W)
-    out = weight.data @ ((my @ x.data) @ mx.T).reshape(B, C, H * W)
+    out = weight.data @ _resize(my, mx, x.data).reshape(B, C, H * W)
     out += bias.data[:, None]
     out = out.reshape(B, Co, H, W)
     out += skip.data
@@ -999,12 +900,12 @@ def upsample_merge(x, weight, bias, skip) -> Tensor:
 
     def bw(g):
         gf = g.reshape(B, Co, H * W)
-        # (my @ x_c) @ mx.T per channel-major (c, b) matrix: the forward's map
-        _channel_map_grads(weight, bias, gf, lambda: (
-            (my @ x.data.transpose(1, 0, 2, 3)) @ mx.T).reshape(C, B * H * W))
+        # the forward's map, resized per channel-major (c, b) plane
+        _channel_map_grads(weight, bias, gf, lambda: _resize(
+            my, mx, x.data.transpose(1, 0, 2, 3)).reshape(C, B * H * W))
         if x.requires_grad:
-            gx = (weight.data.T @ gf).reshape(B, C, H, W) @ mx
-            _accum(x, my.T @ gx, own=True)
+            gx = _resize_adjoint(my, mx, (weight.data.T @ gf).reshape(B, C, H, W))
+            _accum(x, gx, own=True)
         _accum(skip, g, own=True)
 
     return _result(out, "upsample_merge", (x, weight, bias, skip), bw)
@@ -1021,8 +922,8 @@ class GradCheckReport:
     max_rel_err: float
     tol: float
     n_checked: int
-    # (flat_index, analytic, numeric, rel) per failing coordinate; a report
-    # merged over named parameters gives the index as f"{param}[{flat_index}]"
+    # (flat_index, analytic, numeric, rel) per failing coordinate;
+    # grad_check_params gives the index as f"{param}[{flat_index}]"
     failures: list = field(default_factory=list)
     name: str = ""   # what was checked, as the gradient suite reports it
 
@@ -1106,7 +1007,7 @@ def grad_check(f, x: Tensor, tol: float = 1e-4, max_coords=None,
 
 def grad_check_params(f, params: dict, tol: float = 1e-4,
                       max_coords_per_param: int = 4,
-                      rng: RngState | None = None) -> dict:
+                      rng: RngState | None = None) -> GradCheckReport:
     """Check d f()/d p for every named parameter, sampling coordinates.
 
     ``f`` is a zero-argument closure over ``params`` returning a scalar Tensor;
@@ -1115,11 +1016,18 @@ def grad_check_params(f, params: dict, tol: float = 1e-4,
     perturbations shift every downstream activation and must stay inside one
     linear piece of the ReLU/hard-sigmoid/max-pool breakpoints; failing
     coordinates are re-probed at the fallback step as in ``grad_check``.
+    Returns one report over every parameter: the worst error, the summed
+    coordinate count, and each failure at ``f"{name}[{flat_index}]"``.
     """
     rng = rng or RngState(0)
     for p in params.values():
         p.zero_grad()
     backward(f())
-    return {name: _probe(f, p.data.reshape(-1), p.grad, max_coords_per_param, rng,
-                         tol, FD_STEP_PARAM)
-            for name, p in params.items()}
+    reports = {name: _probe(f, p.data.reshape(-1), p.grad, max_coords_per_param, rng,
+                            tol, FD_STEP_PARAM)
+               for name, p in params.items()}
+    return GradCheckReport(
+        max_rel_err=max(r.max_rel_err for r in reports.values()), tol=tol,
+        n_checked=sum(r.n_checked for r in reports.values()),
+        failures=[(f"{name}[{i}]", *rest)
+                  for name, r in reports.items() for i, *rest in r.failures])

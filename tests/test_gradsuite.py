@@ -1,10 +1,15 @@
-"""Gradient suite: named reports, the merged parameter report, and a wrong gradient."""
+"""Gradient suite: named reports, the merged parameter report, the size the
+benchmark pins, and a wrong gradient."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lightavseg import decoder, encoder, gradsuite, tensor
 from lightavseg.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def wrong_hsigmoid(x):
@@ -30,6 +35,15 @@ class TestReports:
         names = [r.name for r in reports]
         assert len(set(names)) == len(names) and "" not in names
         assert all(r.passed and r.failures == [] for r in reports)
+
+    def test_quick_suite_is_the_size_the_benchmark_pins(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        reports = gradsuite.full_suite(quick=True)
+        assert len(reports) == workloads.GRADCHECK_CHECKS
+        assert sum(r.n_checked for r in reports) == workloads.GRADCHECK_COORDS
+        assert all(r.passed for r in reports)
 
     def test_param_report_sums_every_parameter(self):
         inp, params = gradsuite.end_to_end_check(input_coords=1, param_coords=2)
@@ -68,7 +82,7 @@ class TestWrongGradient:
         lines = capsys.readouterr().out.splitlines()
         out = "\n".join(lines)
         assert "FAIL fusion_step(visual)" in out
-        assert "PASS relu" in out
+        assert "PASS pointwise_linear(relu)" in out
         # the first three failures follow each FAIL line
         at = next(i for i, line in enumerate(lines) if "FAIL end_to_end(d/d params)" in line)
         params = gradsuite.tiny_model().params

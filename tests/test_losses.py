@@ -16,6 +16,8 @@ from lightavseg.tensor import (
     grad_check, topo_order,
 )
 
+from chain_ops import ref_bce, ref_cosine_scores, ref_dice, ref_msa
+
 
 def logits_for(p):
     """Map probabilities to saturated-but-finite logits."""
@@ -63,36 +65,8 @@ class TestBceLoss:
 
 
 # ---------------------------------------------------------------------------
-# Fused loss ops against the elementwise-op chains they replaced
+# Fused loss ops against the elementwise-op chains they replaced (chain_ops)
 # ---------------------------------------------------------------------------
-
-def ref_dice(logits, mask, smooth=1.0):
-    p = T.sigmoid(logits)
-    inter = T.tsum(T.mul(p, mask), axis=(1, 2, 3))
-    denom = T.add(T.tsum(p, axis=(1, 2, 3)), T.tsum(mask, axis=(1, 2, 3)))
-    frac = T.div(T.add(T.mul(inter, 2.0), smooth), T.add(denom, smooth))
-    return T.tmean(T.sub(1.0, frac))
-
-
-def ref_bce(logits, mask):
-    return T.tmean(T.sub(T.softplus(logits), T.mul(logits, mask)))
-
-
-def ref_bce_on_probs(probs, mask):
-    p = T.clamp(probs, PROB_EPS, 1.0 - PROB_EPS)
-    pos = T.mul(mask, T.tlog(p))
-    neg = T.mul(T.sub(1.0, mask), T.tlog(T.sub(1.0, p)))
-    return T.mul(T.tmean(T.add(pos, neg)), -1.0)
-
-
-def ref_msa(scores, mask):
-    h, w = mask.shape[2:]
-    per_scale = [ref_bce_on_probs(T.bilinear_upsample(s, h, w), mask) for s in scores]
-    total = per_scale[0]
-    for t in per_scale[1:]:
-        total = T.add(total, t)
-    return T.mul(total, 1.0 / len(per_scale)), per_scale
-
 
 def msa_one(probs, mask):
     """msa_loss over one scale at the mask's size, where its upsample is the identity."""
@@ -252,12 +226,6 @@ class TestMsaLoss:
             losses.append(msa_loss(maps, Tensor(m))[0].item())
         best = grid[int(np.argmin(losses))]
         assert abs(best - mean) <= 0.011  # grid resolution
-
-
-def ref_cosine_scores(f, a, tau, eps=1e-6):
-    sim = T.tsum(T.mul(T.l2_normalize(f, axis=1, eps=eps), T.l2_normalize(a, axis=1, eps=eps)),
-                 axis=1, keepdims=True)
-    return T.sigmoid(T.mul(sim, 1.0 / tau))
 
 
 def alignment_inputs(seed, batch=2, grids=((6, 2, 2), (5, 4, 3), (4, 8, 8))):
