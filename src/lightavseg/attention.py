@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -80,39 +79,10 @@ def attention_flops_closed_form(n: int, d: int, c: int) -> tuple[int, int]:
 # Scaling sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FlopPoint:
-    module: str
-    n: int
-    flops: int
-    wall_ms: float
-    madds: int = 0
-    elems: int = 0
-
-
-@dataclass
-class FlopReport:
-    module: str
-    points: list
-    slope: float
-    channels: int
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "channels": self.channels,
-            "slope": self.slope,
-            "points": [{"N": pt.n, "flops": pt.flops, "wall_ms": pt.wall_ms,
-                        "madds": pt.madds, "elems": pt.elems} for pt in self.points],
-            **self.extra,
-        }
-
-
-def bench_csv(points) -> str:
-    """``bench.csv``: a header, then one ``module,N,flops,wall_ms`` line per FlopPoint."""
+def bench_csv(rows) -> str:
+    """``bench.csv``: a header, then one line per ``(module, N, flops, wall_ms)`` row."""
     return "module,N,flops,wall_ms\n" + "".join(
-        f"{pt.module},{pt.n},{pt.flops},{pt.wall_ms:.4f}\n" for pt in points)
+        f"{module},{n},{flops},{wall_ms:.4f}\n" for module, n, flops, wall_ms in rows)
 
 
 def fit_loglog_slope(ns, counts) -> float:
@@ -145,14 +115,15 @@ def fusion_step(v: Tensor, a: AudioState, enc_p: EncoderStageParams,
     return visual_inject(enhanced, a_hat, dec_p)
 
 
-def scaling_sweep(module: str, grid_sizes, reps: int = 5) -> FlopReport:
+def scaling_sweep(module: str, grid_sizes, reps: int = 5) -> dict:
     """Counted FLOPs and median-of-``reps`` wall time across grid sizes.
 
     ``module`` is ``fusion`` (``fusion_step``; the gated count is the
     grid-dependent interaction scope) or ``xattn`` (``dense_attention``; the
     gated count is the N^2 affinity term). Each grid's inputs are drawn once;
     every count is read from one forward, and ``wall_ms`` is the median
-    no-grad forward of the module alone on those inputs.
+    no-grad forward of the module alone on those inputs. Returns the dict
+    ``bench.json`` holds.
     """
     grid_sizes = list(grid_sizes)
     if len(grid_sizes) < 2:
@@ -182,11 +153,12 @@ def scaling_sweep(module: str, grid_sizes, reps: int = 5) -> FlopReport:
                                    FLOPS.elems(counted))
             state_madds = FLOPS.madds("fusion.state")
             wall = _median_wall_ms(lambda: forward(v, a), reps=reps)
-        points.append(FlopPoint(module, g * g, flops, wall, madds, elems))
-    extra = {"state_madds_last": state_madds} if module == "fusion" else {"d": XATTN_D}
-    slope = fit_loglog_slope([pt.n for pt in points], [pt.flops for pt in points])
-    return FlopReport(module=module, points=points, slope=slope, channels=channels,
-                      extra={"gated_scope": gated, **extra})
+        points.append({"N": g * g, "flops": flops, "wall_ms": wall,
+                       "madds": madds, "elems": elems})
+    last = {"state_madds_last": state_madds} if module == "fusion" else {"d": XATTN_D}
+    slope = fit_loglog_slope([pt["N"] for pt in points], [pt["flops"] for pt in points])
+    return {"module": module, "channels": channels, "slope": slope, "points": points,
+            "gated_scope": gated, **last}
 
 
 def component_report(model, hw: int = 224) -> dict:

@@ -160,28 +160,27 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .attention import FlopPoint, bench_csv, component_report, scaling_sweep
+    from .attention import bench_csv, component_report, scaling_sweep
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     if args.module == "model":
         from .model import ModelConfig, SegModel
         hw = args.grids[0] if args.grids else 224
-        model = SegModel(ModelConfig(), RngState(0))
-        report = component_report(model, hw=hw)
-        points = [FlopPoint(f"model.{c['name']}", hw * hw, c["madds"] + c["elems"],
-                            c["wall_ms"]) for c in report["components"]]
-        json_text = json.dumps(report, sort_keys=True, indent=1)
+        report = component_report(SegModel(ModelConfig(), RngState(0)), hw=hw)
+        rows = [(f"model.{c['name']}", hw * hw, c["madds"] + c["elems"], c["wall_ms"])
+                for c in report["components"]]
     else:
         grids = args.grids or ([28, 56, 112, 224] if args.module == "fusion" else [14, 28, 56])
         report = scaling_sweep(args.module, grids)
-        points = report.points
-        json_text = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
-        print(f"{args.module}: fitted log-log slope vs N = {report.slope:.4f}")
-    csv_text = bench_csv(points)
+        rows = [(args.module, pt["N"], pt["flops"], pt["wall_ms"]) for pt in report["points"]]
+        # stderr, so that a sweep's stdout is only its CSV
+        print(f"{args.module}: fitted log-log slope vs N = {report['slope']:.4f}",
+              file=sys.stderr)
+    csv_text = bench_csv(rows)
     if out_dir:
         (out_dir / "bench.csv").write_text(csv_text)
-        (out_dir / "bench.json").write_text(json_text)
+        (out_dir / "bench.json").write_text(json.dumps(report, sort_keys=True, indent=1))
     else:
         sys.stdout.write(csv_text)
     return 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .audio import log_mel
 from .data import DatasetSpec, generate_dataset
-from .losses import _binary_zeros, alignment_maps, check_objective, mask_scores, total_loss
+from .losses import alignment_maps, check_objective, mask_scores, total_loss
 from .model import ModelConfig, SegModel
 from .tensor import (
     ContractError, DimensionError, RngState, Tensor, _read_exact, _sigmoid_data,
@@ -54,12 +54,12 @@ class TrainConfig:
     freeze_audio_backbone: bool = True
     loss_variant: str = "seg+msa"    # one of losses.LOSS_VARIANTS
     # model
-    stage_channels: tuple = (16, 32, 64, 128)
-    audio_channels: int = 128
-    stem_channels: int = 8
+    stage_channels: tuple = ModelConfig.stage_channels
+    audio_channels: int = ModelConfig.audio_channels
+    stem_channels: int = ModelConfig.stem_channels
     # synthetic dataset
-    hw: int = 64
-    n_scenes: int = 64
+    hw: int = DatasetSpec.hw
+    n_scenes: int = DatasetSpec.n_scenes
     # bookkeeping
     log_every: int = 10
 
@@ -440,7 +440,7 @@ def alignment_separation(model: SegModel, scenes: list, tau: float = 0.1) -> dic
     def collect(_, scene, seg, enc):
         # shallowest supervised scale
         finest = frame_alignment_maps(seg, scene.frames.shape[2:], tau)[-1]
-        mask = ~_binary_zeros(scene.masks.data, "masks")
+        mask = scene.masks.data > 0.5
         fg_vals.append(finest[mask])
         bg_vals.append(finest[~mask])
 

@@ -221,8 +221,6 @@ def msa_loss(scores: list, mask: Tensor):
     active. This one-log form is exact only for a binary mask, so any other
     mask raises ContractError. The backward recomputes each upsample rather
     than keeping full-resolution maps alive.
-
-    Returns the mean and the per-scale losses it averages (values, not nodes).
     """
     if not scores:
         raise ContractError("msa_loss needs at least one scale")
@@ -247,14 +245,11 @@ def msa_loss(scores: list, mask: Tensor):
         np.subtract(1.0, up, out=up, where=neg)
         return up
 
-    per_scale = []
+    total = 0.0
     for s, (my, mx) in zip(scores, interp):
         q = one_log_arg(_resize(my, mx, s.data))
         np.log(q, out=q)
-        per_scale.append(-(q.sum() * (1.0 / n)))
-    total = per_scale[0]
-    for v in per_scale[1:]:
-        total = total + v
+        total -= q.sum() * (1.0 / n)
     out = np.array([total * (1.0 / len(scores))])
     FLOPS.add(elems=len(scores) * (13 * n + 3))
 
@@ -274,7 +269,7 @@ def msa_loss(scores: list, mask: Tensor):
             np.copyto(q, 0.0, where=band)
             _accum(s, _resize_adjoint(my, mx, q), own=True)
 
-    return _result(out, "msa_loss", tuple(scores), bw), per_scale
+    return _result(out, "msa_loss", tuple(scores), bw)
 
 
 def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
@@ -289,7 +284,7 @@ def total_loss(logits: Tensor, features: list, audio: list, y: Tensor,
 
     # seg logs msa without building a graph for backward to walk
     with no_grad() if variant == "seg" else nullcontext():
-        m, _ = msa_loss(alignment_maps(features, audio, tau), y)
+        m = msa_loss(alignment_maps(features, audio, tau), y)
     loss = seg if variant == "seg" else add(seg, mul(m, lam))
     return LossReport(
         dice=d.item(), bce=b.item(), msa=m.item(), total=loss.item(), loss=loss)

@@ -158,7 +158,7 @@ def ref_msa(scores, mask):
     total = per_scale[0]
     for t in per_scale[1:]:
         total = add(total, t)
-    return mul(total, 1.0 / len(per_scale)), per_scale
+    return mul(total, 1.0 / len(per_scale))
 
 
 def ref_cosine_scores(f, a, tau, eps=1e-6):

@@ -90,15 +90,15 @@ class TestComplexity:
         t0 = time.time()
         fusion = scaling_sweep("fusion", [28, 56, 112, 224], reps=3)
         xattn = scaling_sweep("xattn", [14, 28, 56], reps=3)
-        f_ratio = fusion.points[-1].flops / fusion.points[-2].flops
-        x_ratio = xattn.points[-1].flops / xattn.points[-2].flops
+        f_ratio = fusion["points"][-1]["flops"] / fusion["points"][-2]["flops"]
+        x_ratio = xattn["points"][-1]["flops"] / xattn["points"][-2]["flops"]
         elapsed = time.time() - t0
-        ok = (abs(fusion.slope - 1.0) <= 0.01 and abs(xattn.slope - 2.0) <= 0.01
+        ok = (abs(fusion["slope"] - 1.0) <= 0.01 and abs(xattn["slope"] - 2.0) <= 0.01
               and abs(f_ratio - 4.0) <= 0.08 and abs(x_ratio - 16.0) <= 0.32
               and elapsed < 120)
         _report("complexity-scaling", ok,
-                f"fusion slope {fusion.slope:.4f} (1.00±0.01), "
-                f"xattn slope {xattn.slope:.4f} (2.00±0.01), "
+                f"fusion slope {fusion['slope']:.4f} (1.00±0.01), "
+                f"xattn slope {xattn['slope']:.4f} (2.00±0.01), "
                 f"doubling ratios {f_ratio:.3f}/{x_ratio:.2f}, {elapsed:.0f}s (< 120s)")
 
 
@@ -143,7 +143,7 @@ class TestLossIdentities:
             max_gap = max(max_gap, abs(rep.total - (rep.dice + rep.bce + 0.5 * rep.msa)))
 
         m = (RngState(99).uniform((1, 1, 4, 4), 0, 1) > 0.5).astype(float)
-        msa_val = msa_loss([Tensor(m)] * 3, Tensor(m))[0].item()
+        msa_val = msa_loss([Tensor(m)] * 3, Tensor(m)).item()
         bce_val = bce_loss(Tensor(np.zeros((1, 1, 4, 4))), Tensor(m)).item()
         bce_gap = abs(bce_val - math.log(2.0))
         ok = max_gap <= 1e-12 and msa_val < 2e-6 and bce_gap <= 1e-9

@@ -66,24 +66,24 @@ class TestDenseAttention:
 class TestScalingSweep:
     def test_fusion_slope_is_one(self):
         rep = scaling_sweep("fusion", [28, 56, 112, 224], reps=1)
-        assert abs(rep.slope - 1.0) <= 0.01
+        assert abs(rep["slope"] - 1.0) <= 0.01
 
     def test_xattn_slope_is_two(self):
         rep = scaling_sweep("xattn", [14, 28, 56], reps=1)
-        assert abs(rep.slope - 2.0) <= 0.01
+        assert abs(rep["slope"] - 2.0) <= 0.01
 
     def test_doubling_ratios(self):
         fusion = scaling_sweep("fusion", [56, 112], reps=1)
-        ratio = fusion.points[1].flops / fusion.points[0].flops
+        ratio = fusion["points"][1]["flops"] / fusion["points"][0]["flops"]
         assert abs(ratio - 4.0) <= 0.08
         xattn = scaling_sweep("xattn", [14, 28], reps=1)
-        ratio = xattn.points[1].flops / xattn.points[0].flops
+        ratio = xattn["points"][1]["flops"] / xattn["points"][0]["flops"]
         assert abs(ratio - 16.0) <= 0.32
 
     def test_fusion_state_madds_are_one_forward(self):
         # 512 encoder plus 1536 decoder madds at 16 channels, however many reps
         rep = scaling_sweep("fusion", [28, 56], reps=5)
-        assert rep.extra["state_madds_last"] == 2048
+        assert rep["state_madds_last"] == 2048
 
     def test_fusion_inputs_are_drawn_before_the_timed_reps(self, monkeypatch):
         from lightavseg import attention
@@ -105,15 +105,15 @@ class TestScalingSweep:
 
     def test_csv_format(self):
         rep = scaling_sweep("fusion", [28, 56], reps=1)
-        lines = bench_csv(rep.points).strip().splitlines()
+        rows = [("fusion", pt["N"], pt["flops"], pt["wall_ms"]) for pt in rep["points"]]
+        lines = bench_csv(rows).strip().splitlines()
         assert lines[0] == "module,N,flops,wall_ms"
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "fusion" and int(first[1]) == 784
 
     def test_json_has_slope_and_points(self):
-        rep = scaling_sweep("xattn", [14, 28], reps=1)
-        d = rep.to_json_dict()
+        d = scaling_sweep("xattn", [14, 28], reps=1)
         assert "slope" in d and len(d["points"]) == 2
         assert d["points"][0]["N"] == 196
 

@@ -378,6 +378,37 @@ class TestBenchCli:
         assert report["unattributed_ms"] >= 0
         assert report["total_wall_ms"] >= max(c["wall_ms"] for c in report["components"])
 
+    POINT_KEYS = {"N", "flops", "wall_ms", "madds", "elems"}
+    SWEEP_KEYS = {"module", "channels", "gated_scope", "slope", "points"}
+    SECTIONS = ["visual_backbone", "audio_embed", "encoder_fusion", "decoder_fusion",
+                "seg_head"]
+
+    @pytest.mark.parametrize("module,grids,keys,item_keys,rows", [
+        ("fusion", "28,56", SWEEP_KEYS | {"state_madds_last"}, POINT_KEYS,
+         [("fusion", 784), ("fusion", 3136)]),
+        ("xattn", "14,28", SWEEP_KEYS | {"d"}, POINT_KEYS, [("xattn", 196), ("xattn", 784)]),
+        ("model", "32", {"hw", "components", "total_wall_ms", "unattributed_ms"},
+         {"name", "madds", "elems", "wall_ms", "share"},
+         [(f"model.{n}", 1024) for n in SECTIONS]),
+    ], ids=["fusion", "xattn", "model"])
+    def test_report_schema(self, tmp_path, module, grids, keys, item_keys, rows):
+        assert main(["bench", "--module", module, "--grids", grids,
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bench.json").read_text())
+        assert set(report) == keys
+        items = report["components" if module == "model" else "points"]
+        assert [set(item) for item in items] == [item_keys] * len(rows)
+        csv = (tmp_path / "bench.csv").read_text().splitlines()
+        assert [(m, int(n)) for m, n, _, _ in (line.split(",") for line in csv[1:])] == rows
+
+    def test_sweep_stdout_is_only_csv(self, capsys):
+        assert main(["bench", "--module", "fusion", "--grids", "28,56"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "module,N,flops,wall_ms"
+        assert len(lines) == 3 and all(len(line.split(",")) == 4 for line in lines[1:])
+        assert captured.err.startswith("fusion: fitted log-log slope vs N = ")
+
     @pytest.mark.parametrize("module,grids", [("xattn", "14"), ("fusion", "28")])
     def test_one_sweep_grid_is_an_error_line(self, tmp_path, capsys, module, grids):
         assert main(["bench", "--module", module, "--grids", grids,

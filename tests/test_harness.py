@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lightavseg.data import MIN_HW, generate_dataset
+from lightavseg.data import MIN_HW, DatasetSpec, generate_dataset
 from lightavseg.harness import (
     ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamWState, TrainConfig, adamw_step, alignment_separation, config_from_file,
     config_from_mapping, config_to_flat_text, evaluate, load_checkpoint,
@@ -98,6 +98,12 @@ class TestConfig:
         assert cfg.lam == 0.5 and cfg.tau == 0.1
         assert cfg.weight_decay == 1e-2
         assert cfg.freeze_audio_backbone is True
+
+    def test_default_model_and_dataset_are_their_own_defaults(self):
+        # bench --module model builds ModelConfig(), so a default train must too
+        cfg = TrainConfig()
+        assert cfg.model_config() == ModelConfig()
+        assert cfg.dataset_spec() == DatasetSpec()
 
     def test_file_round_trip(self, tmp_path):
         cfg = toy_config(lam=0.7, loss_variant="seg")

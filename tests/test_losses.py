@@ -70,11 +70,11 @@ class TestBceLoss:
 
 def msa_one(probs, mask):
     """msa_loss over one scale at the mask's size, where its upsample is the identity."""
-    return msa_loss([probs], mask)[0]
+    return msa_loss([probs], mask)
 
 
 def ref_msa_one(probs, mask):
-    return ref_msa([probs], mask)[0]
+    return ref_msa([probs], mask)
 
 
 FUSED_AND_REF = [(dice_loss, ref_dice), (bce_loss, ref_bce), (msa_one, ref_msa_one)]
@@ -198,21 +198,22 @@ class TestMsaLoss:
     def test_perfect_match_below_clamp_floor(self):
         m = (RngState(4).uniform((1, 1, 4, 4), 0, 1) > 0.5).astype(float)
         maps = [Tensor(m)] * 3
-        loss, per = msa_loss(maps, Tensor(m))
+        loss = msa_loss(maps, Tensor(m))
         assert loss.item() < 2e-6
-        assert len(per) == 3
+        assert all(msa_loss([s], Tensor(m)).item() < 2e-6 for s in maps)
 
     def test_uniform_half_gives_ln2(self):
         m = (RngState(5).uniform((1, 1, 4, 4), 0, 1) > 0.5).astype(float)
         maps = [Tensor(np.full((1, 1, 4, 4), 0.5))] * 3
-        loss, _ = msa_loss(maps, Tensor(m))
+        loss = msa_loss(maps, Tensor(m))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_mean_over_scales(self):
         m = np.ones((1, 1, 2, 2))
         scales = [Tensor(np.full((1, 1, 2, 2), p)) for p in (0.9, 0.5, 0.2)]
-        loss, per = msa_loss(scales, Tensor(m))
-        assert loss.item() == pytest.approx(sum(p.item() for p in per) / 3, abs=1e-12)
+        loss = msa_loss(scales, Tensor(m))
+        per = [msa_loss([s], Tensor(m)).item() for s in scales]
+        assert loss.item() == pytest.approx(sum(per) / 3, abs=1e-12)
 
     def test_constant_prediction_minimized_at_mask_mean(self):
         # brute force over constants on a 4x4 grid
@@ -223,7 +224,7 @@ class TestMsaLoss:
         losses = []
         for c in grid:
             maps = [Tensor(np.full((1, 1, 4, 4), c))]
-            losses.append(msa_loss(maps, Tensor(m))[0].item())
+            losses.append(msa_loss(maps, Tensor(m)).item())
         best = grid[int(np.argmin(losses))]
         assert abs(best - mean) <= 0.011  # grid resolution
 
@@ -249,10 +250,11 @@ def cosine_value_grads(f, x, y, tau=0.1):
 def msa_value_grads(f, scores, m):
     ts = [Tensor(s.copy(), requires_grad=True) for s in scores]
     FLOPS.reset()
-    loss, per_scale = f(ts, Tensor(m))
+    loss = f(ts, Tensor(m))
     flops = FLOPS.report()
     backward(loss)
-    return loss.item(), [float(p.item()) for p in per_scale], [t.grad for t in ts], flops
+    per_scale = [f([Tensor(s)], Tensor(m)).item() for s in scores]
+    return loss.item(), per_scale, [t.grad for t in ts], flops
 
 
 class TestFusedAlignmentOps:
@@ -314,7 +316,7 @@ class TestFusedAlignmentOps:
         fixed = Tensor(rng.uniform((2, 1, 2, 2), 0.1, 0.9))
         x = Tensor(rng.uniform((2, 1, 3, 4), 0.1, 0.9), requires_grad=True)
         mask = Tensor((rng.uniform((2, 1, 7, 8), 0, 1) > 0.5).astype(float))
-        rep = grad_check(lambda t: msa_loss([fixed, t], mask)[0], x)
+        rep = grad_check(lambda t: msa_loss([fixed, t], mask), x)
         assert rep.passed and rep.n_checked == x.size, rep.failures[:3]
 
     @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
