@@ -162,8 +162,6 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     from .attention import bench_csv, component_report, scaling_sweep
     out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
     if args.module == "model":
         from .model import ModelConfig, SegModel
         hw = args.grids[0] if args.grids else 224
@@ -179,6 +177,8 @@ def _cmd_bench(args) -> int:
               file=sys.stderr)
     csv_text = bench_csv(rows)
     if out_dir:
+        # made only now, so that a refused sweep leaves no empty directory
+        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "bench.csv").write_text(csv_text)
         (out_dir / "bench.json").write_text(json.dumps(report, sort_keys=True, indent=1))
     else:

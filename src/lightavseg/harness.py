@@ -31,7 +31,7 @@ from .losses import alignment_maps, check_objective, mask_scores, total_loss
 from .model import ModelConfig, SegModel
 from .tensor import (
     ContractError, DimensionError, RngState, Tensor, _read_exact, _sigmoid_data,
-    backward, bilinear_upsample, no_grad, read_array, write_array,
+    all_finite, backward, bilinear_upsample, no_grad, read_array, write_array,
 )
 
 CKPT_MAGIC = b"AVSC"
@@ -185,8 +185,13 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, cfg: TrainConfig,
     same bit for bit:
         m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
         p -= (lr wd) p;  p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+    A non-finite gradient raises ContractError before anything is updated.
     """
     names = sorted(update_names if update_names is not None else params)
+    for name in names:
+        g = grads.get(name)
+        if g is not None and not all_finite(g):
+            raise ContractError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     t = state.t
     bc1 = 1.0 - ADAM_BETA1 ** t
@@ -195,8 +200,6 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, cfg: TrainConfig,
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(params[name].data)
-        if not np.all(np.isfinite(g)):
-            raise ContractError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    FLOPS, ContractError, DimensionError, Tensor, _accum, _resize, _resize_adjoint,
-    _resize_matrices, _result, _sigmoid_data, add, mul, no_grad,
+    FLOPS, ContractError, DimensionError, Tensor, _accum, _blocks, _resize,
+    _resize_adjoint, _resize_matrices, _result, _sigmoid_data, add, mul, no_grad,
 )
 
 PROB_EPS = 1e-7
@@ -69,12 +69,20 @@ def _binary_zeros(m: np.ndarray, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Segmentation losses
 #
-# Each loss is one graph node: the forward is plain numpy over the whole
-# batch and the backward is its closed-form gradient with respect to the
-# first argument. The mask is data, so a mask that requires grad is refused
-# rather than silently left without a gradient. Each op records the FLOPs of
-# the elementwise chain it replaces.
+# Each loss is one graph node: the forward is plain numpy and the backward is
+# its closed-form gradient with respect to the first argument. Both run over
+# one block of frames at a time (``tensor``'s block rule), so no
+# full-resolution temporary spans the batch and none is kept for backward.
+# The mask is data, so a mask that requires grad is refused rather than
+# silently left without a gradient. Each op records the FLOPs of the
+# elementwise chain it replaces.
 # ---------------------------------------------------------------------------
+
+# full-resolution arrays a loss works on at once, so a block is sized by
+# this many planes a frame: the input and the mask, and two temporaries or a
+# temporary and the gradient
+PLANES_PER_FRAME = 4
+
 
 def _mask_data(x: Tensor, mask: Tensor, name: str) -> np.ndarray:
     if mask.requires_grad:
@@ -94,22 +102,30 @@ def dice_loss(logits: Tensor, mask: Tensor) -> Tensor:
     m = _mask_data(logits, mask, "dice")
     x = logits.data
     batch = x.shape[0]
-    p = _sigmoid_data(x)
+    blocks = _blocks(batch, PLANES_PER_FRAME * x[0].nbytes)
     axes = tuple(range(1, x.ndim))
-    inter = (p * m).sum(axis=axes, keepdims=True)
-    denom = p.sum(axis=axes, keepdims=True) + m.sum(axis=axes, keepdims=True)
+    inter = np.empty((batch,) + (1,) * (x.ndim - 1))
+    denom = np.empty_like(inter)
+    for bs in blocks:
+        p = _sigmoid_data(x[bs])
+        inter[bs] = (p * m[bs]).sum(axis=axes, keepdims=True)
+        denom[bs] = p.sum(axis=axes, keepdims=True) + m[bs].sum(axis=axes, keepdims=True)
     denom += DICE_SMOOTH
     frac = (inter * 2.0 + DICE_SMOOTH) / denom
     out = (1.0 - frac).sum().reshape(1) * (1.0 / batch)
     FLOPS.add(elems=5 * x.size + 7 * batch + 1)
 
     def bw(g):
-        gx = m * 2.0
-        np.subtract(frac, gx, out=gx)
-        gx *= g / (batch * denom)
-        q = np.subtract(1.0, p)
-        q *= p
-        gx *= q
+        scale = g / (batch * denom)
+        gx = np.empty_like(x)
+        for bs in blocks:
+            gb = np.multiply(m[bs], 2.0, out=gx[bs])
+            np.subtract(frac[bs], gb, out=gb)
+            gb *= scale[bs]
+            p = _sigmoid_data(x[bs])  # recomputed, not kept from forward
+            q = np.subtract(1.0, p)
+            q *= p
+            gb *= q
         _accum(logits, gx, own=True)
 
     return _result(out, "dice_loss", (logits,), bw)
@@ -120,22 +136,29 @@ def bce_loss(logits: Tensor, mask: Tensor) -> Tensor:
     m = _mask_data(logits, mask, "bce")
     x = logits.data
     n = x.size
-    # softplus as max(x, 0) + log1p(exp(-|x|)): np.logaddexp is about 5x slower
-    t = np.abs(x)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    u = np.maximum(x, 0.0)
-    t += u
-    np.multiply(x, m, out=u)
-    t -= u
-    out = t.sum().reshape(1) * (1.0 / n)
+    blocks = _blocks(x.shape[0], PLANES_PER_FRAME * x[0].nbytes)
+
+    def block_sum(xb, mb):
+        # softplus as max(x, 0) + log1p(exp(-|x|)): np.logaddexp is about 5x slower
+        t = np.abs(xb)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        u = np.maximum(xb, 0.0)
+        t += u
+        np.multiply(xb, mb, out=u)
+        t -= u
+        return t.sum()
+
+    out = np.reshape(sum(block_sum(x[bs], m[bs]) for bs in blocks), 1) * (1.0 / n)
     FLOPS.add(elems=4 * n + 1)
 
     def bw(g):
-        gx = _sigmoid_data(x)
-        gx -= m
-        gx *= g / n
+        gx = np.empty_like(x)
+        for bs in blocks:
+            gb = _sigmoid_data(x[bs], out=gx[bs])
+            gb -= m[bs]
+            gb *= g / n
         _accum(logits, gx, own=True)
 
     return _result(out, "bce_loss", (logits,), bw)
@@ -220,7 +243,8 @@ def msa_loss(scores: list, mask: Tensor):
     gradient with respect to p is (1 - 2m) / (q N), zero where the clamp is
     active. This one-log form is exact only for a binary mask, so any other
     mask raises ContractError. The backward recomputes each upsample rather
-    than keeping full-resolution maps alive.
+    than keeping full-resolution maps alive, and both passes work one block
+    of frames at a time.
     """
     if not scores:
         raise ContractError("msa_loss needs at least one scale")
@@ -232,6 +256,7 @@ def msa_loss(scores: list, mask: Tensor):
     neg = _binary_zeros(m, "msa_loss: the mask")
     B, C, H, W = m.shape
     n = m.size
+    blocks = _blocks(B, PLANES_PER_FRAME * m[0].nbytes)
     lo, hi = PROB_EPS, 1.0 - PROB_EPS
     interp = []
     for s in scores:
@@ -239,35 +264,43 @@ def msa_loss(scores: list, mask: Tensor):
             raise DimensionError(f"msa_loss: scores {s.shape} do not upsample to mask {m.shape}")
         interp.append(_resize_matrices("msa_loss", s, H, W))
 
-    def one_log_arg(up):
-        """q from the upsampled scores, in place."""
+    def one_log_arg(up, bs):
+        """q from the upsampled scores of block ``bs``, in place."""
         np.clip(up, lo, hi, out=up)
-        np.subtract(1.0, up, out=up, where=neg)
+        np.subtract(1.0, up, out=up, where=neg[bs])
         return up
+
+    def log_sum(s, my, mx, bs):
+        q = one_log_arg(_resize(my, mx, s.data[bs]), bs)
+        np.log(q, out=q)
+        return q.sum()
 
     total = 0.0
     for s, (my, mx) in zip(scores, interp):
-        q = one_log_arg(_resize(my, mx, s.data))
-        np.log(q, out=q)
-        total -= q.sum() * (1.0 / n)
+        total -= sum(log_sum(s, my, mx, bs) for bs in blocks) * (1.0 / n)
     out = np.array([total * (1.0 / len(scores))])
     FLOPS.add(elems=len(scores) * (13 * n + 3))
 
     def bw(g):
         g_scale = g * (1.0 / len(scores)) / n
-        sign = m * -2.0
-        sign += 1.0
-        for s, (my, mx) in zip(scores, interp):
-            if not s.requires_grad:
-                continue
-            up = _resize(my, mx, s.data)
-            band = up <= lo
-            band |= up >= hi
-            q = one_log_arg(up)
-            np.divide(sign, q, out=q)
-            q *= g_scale
-            np.copyto(q, 0.0, where=band)
-            _accum(s, _resize_adjoint(my, mx, q), own=True)
+        grads = [np.empty(s.shape) if s.requires_grad else None for s in scores]
+        for bs in blocks:
+            sign = m[bs] * -2.0
+            sign += 1.0
+            for s, (my, mx), gs in zip(scores, interp, grads):
+                if gs is None:
+                    continue
+                up = _resize(my, mx, s.data[bs])
+                band = up <= lo
+                band |= up >= hi
+                q = one_log_arg(up, bs)
+                np.divide(sign, q, out=q)
+                q *= g_scale
+                np.copyto(q, 0.0, where=band)
+                gs[bs] = _resize_adjoint(my, mx, q)
+        for s, gs in zip(scores, grads):
+            if gs is not None:
+                _accum(s, gs, own=True)
 
     return _result(out, "msa_loss", tuple(scores), bw)
 

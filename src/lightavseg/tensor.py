@@ -28,6 +28,17 @@ no node while its closure runs, a fused ReLU lets go of its activation once
 the mask is read, and each closure drops an array (``del``) or computes a
 gradient before it allocates the next large one.
 
+The memory rule's block rule: a working array that grows with the batch
+(``conv2d``'s patch matrix, ``upsample_merge``'s upsampled map, the
+full-resolution planes of the losses) is built for one contiguous block of
+samples at a time, forward and backward, with as many samples per block as
+fit in ``BLOCK_BYTES`` (a loss counts the four planes a frame it works on at
+once). Only an op's output and its input gradient are full size. A batch
+that fits is one block and runs the whole-batch expressions; over several
+blocks only the order of the sums across samples changes (weight and bias
+gradients, loss totals), since every per-sample product is the one the whole
+batch computes.
+
 FLOP accounting convention (forward pass only):
   * ``madds``  -- multiply-accumulate counts. Channel maps (``pointwise_linear``)
     and convolutions record one madd per MAC. General ``matmul`` records two
@@ -303,11 +314,16 @@ class Tensor:
         return reshape(self, shape)
 
 
-def _check_finite(arr: np.ndarray, op: str):
-    """Raise NumericalError, naming ``op``, if ``arr`` holds a NaN or an Inf."""
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether ``arr`` holds no NaN and no Inf, in one pass when it holds none."""
     # the sum of squares is finite only if every element is, unless the
     # squares overflow; np.vdot, unlike ``@``, warns of no such overflow
-    if not math.isfinite(np.vdot(arr, arr)) and not np.isfinite(arr).all():
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
+
+
+def _check_finite(arr: np.ndarray, op: str):
+    """Raise NumericalError, naming ``op``, if ``arr`` holds a NaN or an Inf."""
+    if not all_finite(arr):
         raise NumericalError(f"non-finite values in result of op '{op}'")
 
 
@@ -517,19 +533,20 @@ def hsigmoid(x) -> Tensor:
     return _result(out, "hsigmoid", (x,), bw)
 
 
-def _sigmoid_data(x: np.ndarray) -> np.ndarray:
+def _sigmoid_data(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without branches.
 
     exp(min(x, 0)) / (1 + exp(-|x|)): the numerator is exactly 1 for x >= 0
     and exp(x) below, and exp(-|x|) is exactly exp(-x) or exp(x), so this
     matches the two-branch form bit for bit and never overflows. A masked
     ufunc (``where=``) would cost several times more on mixed-sign input.
+    The result goes to ``out`` when one is given.
     """
     d = np.abs(x)
     np.negative(d, out=d)
     np.exp(d, out=d)
     d += 1.0
-    out = np.minimum(x, 0.0)
+    out = np.minimum(x, 0.0, out=out)
     np.exp(out, out=out)
     out /= d
     return out
@@ -592,6 +609,35 @@ def concat_channels(a, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Sample blocks
+# ---------------------------------------------------------------------------
+
+BLOCK_BYTES = 2 << 20  # one block's working array: a per-core L2 cache of 2 MiB
+
+
+def _blocks(batch: int, sample_bytes: int) -> tuple:
+    """Contiguous sample blocks of a batch whose working array takes ``sample_bytes`` a sample.
+
+    A block holds as many samples as fit in ``BLOCK_BYTES``, and at least
+    one; a batch that fits is the one block ``slice(0, batch)``.
+    """
+    return _block_slices(batch, max(1, min(batch, BLOCK_BYTES // sample_bytes)))
+
+
+@functools.lru_cache(maxsize=64)
+def _block_slices(batch: int, per_block: int) -> tuple:
+    return tuple(slice(i, min(i + per_block, batch)) for i in range(0, batch, per_block))
+
+
+def _block_total(total, part):
+    """``part`` added into ``total``, the running sum of the earlier blocks (None before)."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Linear maps and convolution
 # ---------------------------------------------------------------------------
 
@@ -613,7 +659,7 @@ def pointwise_linear(x, weight, bias, relu: bool = False) -> Tensor:
 
     def bw(g):
         gf = g.reshape(B, Co, H * W)
-        _channel_map_grads(weight, bias, gf, lambda: _channel_major(xf))
+        _channel_map_grads(weight, bias, gf, (slice(0, B),), lambda bs: _channel_major(xf[bs]))
         if x.requires_grad:
             _accum(x, (weight.data.T @ gf).reshape(B, C, H, W), own=True)
 
@@ -631,16 +677,20 @@ def _check_channel_map(op: str, x: Tensor, weight: Tensor, bias: Tensor):
         raise DimensionError(f"{op} bias {bias.shape} does not match weight {weight.shape}")
 
 
-def _channel_map_grads(weight: Tensor, bias: Tensor, gf: np.ndarray, input_cm):
+def _channel_map_grads(weight: Tensor, bias: Tensor, gf: np.ndarray, blocks, input_cm):
     """Weight and bias gradients of a channel map whose output gradient is ``gf``.
 
-    ``gf`` is (B, C_out, N); ``input_cm()`` gives the map's input as a
-    channel-major (C_in, B*N) array, built only if the weight needs it and
-    freed before this returns, ahead of the caller's input gradient.
+    ``gf`` is (B, C_out, N); ``input_cm(bs)`` gives the map's input for the
+    sample block ``bs`` of ``blocks`` as a channel-major (C_in, b*N) array,
+    built only if the weight needs it, and each is freed before the next one
+    and before this returns, ahead of the caller's input gradient.
     """
     if weight.requires_grad:
-        # channel-major (C, B*N) arrays turn the batch sum into one GEMM
-        _accum(weight, _channel_major(gf) @ input_cm().T, own=True)
+        # channel-major (C, b*N) arrays turn a block's sum into one GEMM
+        gw = None
+        for bs in blocks:
+            gw = _block_total(gw, _channel_major(gf[bs]) @ input_cm(bs).T)
+        _accum(weight, gw, own=True)
     _accum(bias, gf.sum(axis=(0, 2)), own=True)
 
 
@@ -691,10 +741,10 @@ def _im2col(x: np.ndarray, K: int, stride: int, padding: int,
     """(C*K*K, B*Ho*Wo) patch matrix of ``x`` zero-padded by ``padding``.
 
     Row (c, ki, kj) holds input channel c at kernel tap (ki, kj) for every
-    output position, batch-major, so a convolution is one GEMM against the
-    (C_out, C*K*K) weight matrix. Each tap copies its in-bounds window
-    straight from ``x`` and only the strips that read padding are zeroed, so
-    no padded copy of ``x`` is made.
+    output position, batch-major, so a convolution of the samples in ``x``
+    is one GEMM against the (C_out, C*K*K) weight matrix. Each tap copies
+    its in-bounds window straight from ``x`` and only the strips that read
+    padding are zeroed, so no padded copy of ``x`` is made.
     """
     B, C, H, W = x.shape
     strips, taps = _conv_taps(K, stride, padding, H, W, Ho, Wo)
@@ -711,7 +761,10 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0,
            relu: bool = False) -> Tensor:
     """2D convolution with square kernel; records one madd per MAC.
 
-    ``relu=True`` applies a ReLU within the same node (see ``_relu_result``).
+    The patch matrix is built per sample block (see the block rule), in the
+    forward GEMM and again for the weight gradient, and the input gradient
+    is scattered from one block's patch gradient at a time. ``relu=True``
+    applies a ReLU within the same node (see ``_relu_result``).
     """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     if x.ndim != 4 or weight.ndim != 4:
@@ -727,32 +780,39 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0,
     if Ho < 1 or Wo < 1:
         raise DimensionError(f"conv2d output empty for input {x.shape}, kernel {K}, stride {stride}")
     wm = weight.data.reshape(Co, C * K * K)
-    out = wm @ _im2col(x.data, K, stride, padding, Ho, Wo)   # (Co, B*Ho*Wo)
-    out += bias.data[:, None]
+    blocks = _blocks(B, 8 * C * K * K * Ho * Wo)  # a patch matrix per sample
+    out = np.empty((B, Co, Ho, Wo))
+    for bs in blocks:
+        ob = wm @ _im2col(x.data[bs], K, stride, padding, Ho, Wo)   # (Co, b*Ho*Wo)
+        ob += bias.data[:, None]
+        out[bs] = ob.reshape(Co, -1, Ho, Wo).transpose(1, 0, 2, 3)
     FLOPS.add(madds=B * Co * C * K * K * Ho * Wo, elems=B * Co * Ho * Wo)
 
     def bw(g):
-        gm = _channel_major(g)                                # (Co, B*Ho*Wo)
-        if weight.requires_grad:
-            # rebuilt, not kept from forward: no patch matrix outlives its op's forward
-            cols = _im2col(x.data, K, stride, padding, Ho, Wo)
-            _accum(weight, (gm @ cols.T).reshape(weight.data.shape), own=True)
-            del cols  # before the input gradient's arrays of the same size
-        _accum(bias, gm.sum(axis=1), own=True)
-        if x.requires_grad:
-            gcols = (wm.T @ gm).reshape(C, K, K, B, Ho, Wo)
-            # stored channel-major for a convolution below, whose backward
-            # then reads it as its ``gm`` without a copy
-            gx = (np.zeros((C, B, H, W)).transpose(1, 0, 2, 3) if x.op.startswith("conv2d")
-                  else np.zeros((B, C, H, W)))
-            gxc = gx.transpose(1, 0, 2, 3)
-            # each tap's in-bounds part, added in (ki, kj) order; what falls
-            # on the padding is not a gradient of x
-            for patch, window in _conv_taps(K, stride, padding, H, W, Ho, Wo)[1]:
-                gxc[window] += gcols[patch]
+        taps = _conv_taps(K, stride, padding, H, W, Ho, Wo)[1]
+        gx = np.zeros((B, C, H, W)) if x.requires_grad else None
+        gw = gb = None
+        for bs in blocks:
+            gm = _channel_major(g[bs])                        # (Co, b*Ho*Wo)
+            if weight.requires_grad:
+                # rebuilt, not kept from forward: no patch matrix outlives its op's forward
+                cols = _im2col(x.data[bs], K, stride, padding, Ho, Wo)
+                gw = _block_total(gw, gm @ cols.T)
+                del cols  # before the input gradient's array of the same size
+            gb = _block_total(gb, gm.sum(axis=1))
+            if gx is not None:
+                gcols = (wm.T @ gm).reshape(C, K, K, -1, Ho, Wo)
+                gxc = gx[bs].transpose(1, 0, 2, 3)
+                # each tap's in-bounds part, added in (ki, kj) order; what falls
+                # on the padding is not a gradient of x
+                for patch, window in taps:
+                    gxc[window] += gcols[patch]
+        if gw is not None:
+            _accum(weight, gw.reshape(weight.data.shape), own=True)
+        _accum(bias, gb, own=True)
+        if gx is not None:
             _accum(x, gx, own=True)
 
-    out = np.ascontiguousarray(out.reshape(Co, B, Ho, Wo).transpose(1, 0, 2, 3))
     return (_relu_result if relu else _result)(out, "conv2d", (x, weight, bias), bw)
 
 
@@ -875,11 +935,12 @@ def upsample_merge(x, weight, bias, skip) -> Tensor:
     """One top-down merge: resize ``x`` to ``skip``'s extents, map its channels, add ``skip``.
 
     Equals the chain ``add(pointwise_linear(bilinear_upsample(x, H, W), weight,
-    bias), skip)`` (``tests/chain_ops.py``) bit for bit in value, in every
-    gradient and in the FLOPs it records, as one node that keeps no upsampled
-    map. Backward rebuilds that map, channel-major, for the weight gradient and
-    frees it before the input gradient is made; the node's own gradient goes
-    to ``skip`` last.
+    bias), skip)`` (``tests/chain_ops.py``) in value, in every gradient and in
+    the FLOPs it records, as one node that keeps no upsampled map; bit for
+    bit when the batch is one block. The map is made per sample block (see
+    the block rule). Backward rebuilds it, channel-major, for the weight
+    gradient, then makes the input gradient block by block; the node's own
+    gradient goes to ``skip`` last.
     """
     x, weight, bias, skip = _coerce(x), _coerce(weight), _coerce(bias), _coerce(skip)
     _check_channel_map("upsample_merge", x, weight, bias)
@@ -891,7 +952,11 @@ def upsample_merge(x, weight, bias, skip) -> Tensor:
             f"mapped to {Co} channels")
     H, W = skip.shape[2:]
     my, mx = _resize_matrices("upsample_merge", x, H, W)
-    out = weight.data @ _resize(my, mx, x.data).reshape(B, C, H * W)
+    blocks = _blocks(B, 8 * C * H * W)  # an upsampled map per sample
+    out = np.empty((B, Co, H * W))
+    for bs in blocks:
+        np.matmul(weight.data, _resize(my, mx, x.data[bs]).reshape(-1, C, H * W),
+                  out=out[bs])
     out += bias.data[:, None]
     out = out.reshape(B, Co, H, W)
     out += skip.data
@@ -900,11 +965,13 @@ def upsample_merge(x, weight, bias, skip) -> Tensor:
 
     def bw(g):
         gf = g.reshape(B, Co, H * W)
-        # the forward's map, resized per channel-major (c, b) plane
-        _channel_map_grads(weight, bias, gf, lambda: _resize(
-            my, mx, x.data.transpose(1, 0, 2, 3)).reshape(C, B * H * W))
+        # the forward's map, resized per channel-major (c, b) plane of a block
+        _channel_map_grads(weight, bias, gf, blocks, lambda bs: _resize(
+            my, mx, x.data[bs].transpose(1, 0, 2, 3)).reshape(C, -1))
         if x.requires_grad:
-            gx = _resize_adjoint(my, mx, (weight.data.T @ gf).reshape(B, C, H, W))
+            gx = np.empty(x.shape)
+            for bs in blocks:
+                gx[bs] = _resize_adjoint(my, mx, (weight.data.T @ gf[bs]).reshape(-1, C, H, W))
             _accum(x, gx, own=True)
         _accum(skip, g, own=True)
 

@@ -1,4 +1,4 @@
-"""Suite hooks: the summary states how long the slow acceptance tests took."""
+"""Suite hooks: the slow acceptance time in the summary, and a per-sample block fixture."""
 
 import pytest
 
@@ -16,3 +16,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"slow acceptance: {sum(r.duration for r in slow):.1f} s "
             f"over {len({r.nodeid for r in slow})} tests")
+
+
+@pytest.fixture
+def per_sample_blocks(monkeypatch):
+    """``tensor.BLOCK_BYTES`` at 1 byte, so that every blocked op takes one sample at a time."""
+    # imported here, since tests/test_pytest_config.py runs this file in suites
+    # that do not put the package on the path
+    from lightavseg import tensor
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 1)

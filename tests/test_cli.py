@@ -416,7 +416,7 @@ class TestBenchCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "two grid sizes" in captured.err
         assert "slope" not in captured.out
-        assert not (tmp_path / "b" / "bench.json").exists()
+        assert not (tmp_path / "b").exists()
 
     def test_model_bench_takes_one_grid(self, tmp_path):
         assert main(["bench", "--module", "model", "--grids", "14",

@@ -84,6 +84,25 @@ class TestAdamW:
             adamw_step(p, {"bad_param": np.array([np.nan])}, AdamWState(), cfg)
         assert "bad_param" in str(e.value)
 
+    def test_non_finite_gradient_updates_nothing(self):
+        rng = RngState(10)
+        params = {n: parameter(rng.uniform(s, -1, 1)) for n, s in
+                  (("a", (3, 2)), ("b", (4,)), ("c", (2, 2)))}
+        cfg = TrainConfig(lr=1e-2, weight_decay=0.1)
+        state = AdamWState()
+        adamw_step(params, {n: rng.normal(p.shape) for n, p in params.items()}, state, cfg)
+
+        def snapshot():
+            return (state.t, {n: (p.data.tobytes(), state.m[n].tobytes(),
+                                  state.v[n].tobytes()) for n, p in params.items()})
+
+        before = snapshot()
+        grads = {n: rng.normal(p.shape) for n, p in params.items()}
+        grads["b"][2] = np.inf  # a parameter after "a" in sorted order
+        with pytest.raises(ContractError, match="'b'"):
+            adamw_step(params, grads, state, cfg)
+        assert snapshot() == before
+
 
 class TestConfig:
     def test_three_stage_widths_in_a_file_are_a_contract_error(self, tmp_path):

@@ -104,6 +104,16 @@ class TestFusedLossOps:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("fused,ref", FUSED_AND_REF)
     def test_value_gradient_and_flops_match_reference(self, fused, ref, shape):
+        self.check_reference(fused, ref, shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("fused,ref", FUSED_AND_REF)
+    def test_value_gradient_and_flops_match_reference_per_sample_blocks(
+            self, per_sample_blocks, fused, ref, shape):
+        self.check_reference(fused, ref, (max(2, shape[0]),) + shape[1:])
+
+    @staticmethod
+    def check_reference(fused, ref, shape):
         x, m = loss_inputs(fused, shape, seed=len(shape) + sum(shape))
         loss, grad, flops = value_grad_flops(fused, x, m)
         ref_loss, ref_grad, ref_flops = value_grad_flops(ref, x, m)
@@ -300,16 +310,28 @@ class TestFusedAlignmentOps:
 
     @pytest.mark.parametrize("mask_hw", [(16, 16), (9, 12)])
     def test_msa_loss_matches_reference(self, mask_hw):
+        loss, per, ref_loss, ref_per = self.check_msa_reference(mask_hw)
+        assert loss == ref_loss and per == ref_per
+
+    @pytest.mark.parametrize("mask_hw", [(16, 16), (9, 12)])
+    def test_msa_loss_matches_reference_per_sample_blocks(self, per_sample_blocks, mask_hw):
+        # the per-block sums of a scale are added, so only the rounding may differ
+        loss, per, ref_loss, ref_per = self.check_msa_reference(mask_hw)
+        np.testing.assert_allclose([loss] + per, [ref_loss] + ref_per, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def check_msa_reference(mask_hw):
+        """Values of msa_loss and ref_msa; gradients and FLOPs checked here."""
         rng = RngState(sum(mask_hw))
         scores = [rng.uniform((2, 1, h, w), 0.0, 1.0) for h, w in ((2, 2), (4, 3), (8, 8))]
         scores[0][0, 0, 0, 0] = 1.0 - 1e-9   # inside the clamp band
         m = (rng.uniform((2, 1) + mask_hw, 0, 1) > 0.5).astype(float)
         loss, per, grads, flops = msa_value_grads(msa_loss, scores, m)
         ref_loss, ref_per, ref_grads, ref_flops = msa_value_grads(ref_msa, scores, m)
-        assert loss == ref_loss and per == ref_per
         for g, rg in zip(grads, ref_grads):
             np.testing.assert_allclose(g, rg, rtol=1e-12, atol=1e-12)
         assert flops == ref_flops
+        return loss, per, ref_loss, ref_per
 
     def test_msa_loss_grad_check_every_coordinate(self):
         rng = RngState(7)

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import struct
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -507,6 +508,19 @@ def _ref_bilinear(x, H, W, g):
     return out, (np.einsum("Hh,bcHw->bchw", my, np.einsum("Ww,bcHW->bcHw", mx, g)),)
 
 
+def _ref_upsample_merge(x, w, b, skip, g):
+    """Forward and (dx, dw, db, dskip) of the resize, channel map and add."""
+    H, W = skip.shape[2:]
+    up = _ref_bilinear(x, H, W, np.zeros(x.shape[:2] + (H, W)))[0]
+    out, (gup, gw, gb) = _ref_pointwise_linear(up, w, b, g)
+    return out + skip, (_ref_bilinear(x, H, W, gup)[1][0], gw, gb, g)
+
+
+def _at_least_two(shape):
+    """``shape`` with a batch of two or more, so that per-sample blocks are several."""
+    return (max(2, shape[0]),) + tuple(shape[1:])
+
+
 def _run_kernel(op, arrays):
     """Forward of ``op`` on parameter leaves, then backward of sum(out * g)."""
     leaves = [parameter(a) for a in arrays]
@@ -532,11 +546,13 @@ class TestKernelsMatchEinsumReference:
         for got, want in zip(grads, ref_grads):
             _assert_close(got, want)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("shape,K", [((3, 2, 7, 5), 3), ((1, 3, 6, 6), 3),
-                                         ((2, 3, 5, 8), 2)])
-    def test_conv2d(self, stride, padding, shape, K):
+    CONV_SHAPES = [((3, 2, 7, 5), 3), ((1, 3, 6, 6), 3), ((2, 3, 5, 8), 2)]
+    # (x shape, skip shape) of upsample_merge, like TestUpsampleMerge.SHAPES
+    MERGE_SHAPES = [((2, 3, 4, 5), (2, 4, 8, 10)), ((1, 2, 3, 3), (1, 3, 7, 5)),
+                    ((3, 3, 4, 4), (3, 2, 4, 4))]
+
+    @staticmethod
+    def check_conv2d(stride, padding, shape, K):
         rng = RngState(51)
         x = rng.uniform(shape, -1, 1)
         w, b = rng.uniform((4, shape[1], K, K), -1, 1), rng.uniform((4,), -1, 1)
@@ -546,6 +562,37 @@ class TestKernelsMatchEinsumReference:
         _assert_close(out, ref_out)
         for got, want in zip(grads, ref_grads):
             _assert_close(got, want)
+
+    @staticmethod
+    def check_upsample_merge(x_shape, skip_shape):
+        rng = RngState(53)
+        arrays = (rng.uniform(x_shape, -1, 1), rng.uniform((skip_shape[1], x_shape[1]), -1, 1),
+                  rng.uniform((skip_shape[1],), -1, 1), rng.uniform(skip_shape, -1, 1))
+        out, g, grads = _run_kernel(T.upsample_merge, arrays)
+        ref_out, ref_grads = _ref_upsample_merge(*arrays, g)
+        _assert_close(out, ref_out)
+        for got, want in zip(grads, ref_grads):
+            _assert_close(got, want)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("shape,K", CONV_SHAPES)
+    def test_conv2d(self, stride, padding, shape, K):
+        self.check_conv2d(stride, padding, shape, K)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("shape,K", CONV_SHAPES)
+    def test_conv2d_per_sample_blocks(self, per_sample_blocks, stride, padding, shape, K):
+        self.check_conv2d(stride, padding, _at_least_two(shape), K)
+
+    @pytest.mark.parametrize("x_shape,skip_shape", MERGE_SHAPES)
+    def test_upsample_merge(self, x_shape, skip_shape):
+        self.check_upsample_merge(x_shape, skip_shape)
+
+    @pytest.mark.parametrize("x_shape,skip_shape", MERGE_SHAPES)
+    def test_upsample_merge_per_sample_blocks(self, per_sample_blocks, x_shape, skip_shape):
+        self.check_upsample_merge(_at_least_two(x_shape), _at_least_two(skip_shape))
 
     @pytest.mark.parametrize("shape,H,W", [((3, 2, 3, 5), 7, 11), ((1, 1, 1, 1), 4, 3),
                                            ((2, 3, 4, 4), 4, 9)])
@@ -602,6 +649,15 @@ class TestConvWithoutPaddedCopy:
 
     @pytest.mark.parametrize("stride,padding,shape,K", CONV_CASES)
     def test_matches_padded_reference(self, stride, padding, shape, K):
+        self.check_padded_reference(stride, padding, shape, K)
+
+    @pytest.mark.parametrize("stride,padding,shape,K", CONV_CASES)
+    def test_matches_padded_reference_per_sample_blocks(self, per_sample_blocks, stride,
+                                                        padding, shape, K):
+        self.check_padded_reference(stride, padding, _at_least_two(shape), K)
+
+    @staticmethod
+    def check_padded_reference(stride, padding, shape, K):
         B, C, H, W = shape
         Ho = (H + 2 * padding - K) // stride + 1
         Wo = (W + 2 * padding - K) // stride + 1
@@ -620,30 +676,41 @@ class TestConvWithoutPaddedCopy:
         assert grads[0].tobytes() == want.tobytes()
 
 
-    def test_conv_over_conv_gradient_is_read_without_a_copy(self, monkeypatch):
-        # a conv2d parent receives its input gradient channel-major; any other
-        # parent (here a mul between the two) the usual layout, to the same bytes
-        seen = []
-
-        def spy(a):
-            out = real(a)
-            seen.append(np.shares_memory(out, a))
-            return out
-
-        real = T._channel_major
-        monkeypatch.setattr(T, "_channel_major", spy)
+    def test_conv_over_conv_gradient_equals_conv_mul_conv_to_the_byte(self):
+        # a conv2d parent and any other parent (here a mul between the two)
+        # receive the same input gradient
         rng = RngState(68)
         arrays = (rng.uniform((2, 3, 9, 8), -1, 1), rng.uniform((4, 3, 3, 3), -1, 1),
                   rng.uniform((4,), -1, 1), rng.uniform((5, 4, 3, 3), -1, 1), np.zeros(5))
         runs = []
         for between in (lambda t: t, lambda t: T.mul(t, 1.0)):
             leaves = [parameter(a) for a in arrays]
-            seen.clear()
             low = _conv_layer(*leaves[:3], relu=True)
             backward(T.tsum(T.mul(_conv_layer(between(low), *leaves[3:]), 0.5)))
-            runs.append((seen[:], [t.grad.tobytes() for t in leaves]))
-        assert runs[0][0] == [False, True] and runs[1][0] == [False, False]
-        assert runs[0][1] == runs[1][1]
+            runs.append([t.grad.tobytes() for t in leaves])
+        assert runs[0] == runs[1]
+
+    def test_blocked_backward_peaks_below_one_batch_patch_matrix(self, monkeypatch):
+        B, C, H, W, K = 4, 8, 16, 16, 3
+        patch_bytes = 8 * C * K * K * B * H * W  # stride 1, padding 1: Ho, Wo = H, W
+        rng = RngState(72)
+        arrays = (rng.uniform((B, C, H, W), -1, 1), rng.uniform((2, C, K, K), -1, 1),
+                  np.zeros(2))
+
+        def backward_peak():
+            leaves = [parameter(a) for a in arrays]
+            loss = T.tsum(T.mul(T.conv2d(*leaves, stride=1, padding=1), 0.5))
+            tracemalloc.start()
+            try:
+                backward(loss)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one block: the whole batch's patch matrix is rebuilt, so the probe sees it
+        assert backward_peak() >= patch_bytes
+        monkeypatch.setattr(T, "BLOCK_BYTES", 1)
+        assert backward_peak() < patch_bytes
 
 
 def _conv_layer(*t, relu=False):
